@@ -33,9 +33,9 @@ class MmapBlockDevice final : public FileBlockDevice {
   /// Virtual address reservation for a *writable* device: 1 TiB, far above
   /// any device this library backs, and free until pages are touched. A
   /// read-only device can never grow, so it maps exactly the file size
-  /// instead — many snapshot replicas then cost file-size address space
+  /// instead — many read-only devices then cost file-size address space
   /// each, not 1 TiB each (which would hit the 128 TiB x86-64 VA limit at
-  /// ~128 replicas and silently degrade later ones to copying reads).
+  /// ~128 devices and silently degrade later ones to copying reads).
   static constexpr std::uint64_t kMapBytes = 1ull << 40;
 
   MmapBlockDevice(std::uint32_t block_words, FileOptions options);

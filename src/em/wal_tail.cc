@@ -1,11 +1,38 @@
 #include "em/wal_tail.h"
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
+#include "util/io_retry.h"
+
 namespace tokra::em {
+namespace {
+
+// True while a segment of `size` bytes has no header written yet. An
+// appender creates the file empty, grows it by one zero-filled block, and
+// only then writes the header, so a poll can land on a 0-byte file or on an
+// all-zero header block: "not formatted yet", not corruption. Once written,
+// a header is never zeroed again (rotation renames a fully written segment
+// over the path).
+bool HeaderPending(const std::string& path, std::uint64_t size,
+                   std::uint32_t block_words) {
+  const std::size_t bytes = std::size_t{block_words} * sizeof(word_t);
+  if (size < bytes) return true;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;  // the real open reports it
+  std::vector<char> header(bytes);
+  const int err = PreadFull(fd, header.data(), bytes, 0);
+  ::close(fd);
+  return err == 0 && std::all_of(header.begin(), header.end(),
+                                 [](char c) { return c == 0; });
+}
+
+}  // namespace
 
 StatusOr<std::uint64_t> WalTailFollower::Poll(const Callback& fn) {
   ++polls_;
@@ -17,6 +44,15 @@ StatusOr<std::uint64_t> WalTailFollower::Poll(const Callback& fn) {
       static_cast<std::uint64_t>(st.st_size) == last_size_) {
     ++skipped_polls_;
     return std::uint64_t{0};
+  }
+
+  // An inode this follower already read is formatted; a new one may still
+  // be mid-creation, which is "try again", like a missing file.
+  if (static_cast<std::uint64_t>(st.st_ino) != last_ino_ &&
+      HeaderPending(options_.path, static_cast<std::uint64_t>(st.st_size),
+                    options_.block_words)) {
+    return Status::NotFound("WAL segment not formatted yet: " +
+                            options_.path);
   }
 
   WriteAheadLog::Options o;

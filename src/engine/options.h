@@ -78,13 +78,6 @@ struct PruningOptions {
   /// query fans out to all overlapping shards (the pre-fence behaviour).
   bool enabled = true;
 
-  /// Max-weight sub-ranges per shard fence.
-  std::uint32_t fence_slots = 64;
-
-  /// Bloom bits per key at fence (re)build time; 0 disables the point-query
-  /// filter while keeping range fences.
-  std::uint32_t bloom_bits_per_key = 8;
-
   /// Shards dispatched per wave on the parallel path: after each wave the
   /// router re-checks the frontier before paying for the next. 0 derives
   /// `threads` (full first wave, no idle workers); serial queries always
@@ -134,19 +127,6 @@ struct EngineOptions {
   /// contract is unchanged (see DESIGN.md §6.3).
   bool parallel_checkpoint = true;
 
-  /// Checkpoint() skips shards with no accepted updates since their last
-  /// checkpoint (their backing file already holds exactly the state a
-  /// fresh checkpoint would write). Purely an I/O saving; off restores the
-  /// every-shard behaviour.
-  bool skip_clean_shard_checkpoints = true;
-
-  /// OpenSnapshot: independent read handles (pager + index view) per shard.
-  /// Each replica serves one query at a time; with kMmap shards the
-  /// replicas share every cached byte through the OS page cache, so extra
-  /// replicas cost only pool bookkeeping. 0 derives threads + 1 (the pool
-  /// workers plus the calling thread).
-  std::uint32_t snapshot_replicas = 0;
-
   /// Serve-while-updating MVCC (DESIGN.md §14). Every shard pager runs
   /// epoch-based copy-on-write checkpoints (em.cow_epochs forced on), and
   /// after each per-shard checkpoint the engine publishes an epoch-pinned
@@ -154,13 +134,9 @@ struct EngineOptions {
   /// read handles instead of taking the shard mutex, so readers scale with
   /// threads while writers proceed on the live epoch. Works on every
   /// backend, including kMem. A query finds no published view only before
-  /// the shard's first checkpoint (or when every handle is busy and
-  /// contention-free rotation fails) and falls back to the locked probe.
+  /// the shard's first checkpoint (or on a backend that cannot share
+  /// reads) and falls back to the locked probe.
   bool mvcc = false;
-
-  /// MVCC: read handles published per shard view. Each serves one query at
-  /// a time (rotation picks a free one). 0 derives threads + 1.
-  std::uint32_t mvcc_read_handles = 0;
 
   /// Whether the engine runs write-ahead logs at all.
   bool WalEnabled() const {
@@ -225,7 +201,6 @@ struct EngineOptions {
     TOKRA_CHECK(!WalEnabled() || !storage_dir.empty());
     TOKRA_CHECK(em.block_words >=
                 em::kSuperblockHeaderWords + kShardCheckpointRoots);
-    TOKRA_CHECK(pruning.fence_slots >= 1);
     ShardEm(0).Validate();
   }
 };

@@ -134,7 +134,8 @@ struct EngineCounters {
   std::uint64_t query_waves = 0;    ///< dispatch waves across all queries
   std::uint64_t query_shard_locks = 0;  ///< shard-mutex acquisitions on the
                                         ///< query path; stays 0 while every
-                                        ///< probe rides an MVCC read view —
+                                        ///< probe rides a read view (MVCC
+                                        ///< or snapshot) —
                                         ///< the lock-free-reads assertion
 };
 
@@ -165,11 +166,13 @@ class ShardedTopkEngine {
 
   /// Read-only snapshot serving mode: maps every checkpointed shard file
   /// immutably (backend forced to kMmap read-only unless the caller picked
-  /// another file backend) and serves TopK without per-shard write locks —
-  /// each shard gets `snapshot_replicas` independent read handles and a
-  /// query claims any free one, so N readers scale instead of serializing
-  /// on one shard mutex. The zero-copy borrow path makes the OS page cache
-  /// the only real cache, shared across all replicas. Updates,
+  /// another file backend) and serves TopK without per-shard write locks.
+  /// Each shard opens one read-only pager and publishes ONE ShardView over
+  /// it, exactly once, never republished: the view's `threads + 1` read
+  /// handles share that pager's device and a query claims any free one, so
+  /// N readers scale instead of serializing on one shard mutex. On kMmap
+  /// the zero-copy borrow path makes the OS page cache the only real cache,
+  /// shared across all handles. Updates,
   /// Checkpoint() and Rebalance() are refused (kFailedPrecondition) and
   /// the files are never written. The files must stay quiescent while the
   /// snapshot is open: the snapshot never writes, but a concurrent
@@ -259,8 +262,10 @@ class ShardedTopkEngine {
   /// Lower bound of each shard's key range; element 0 is -infinity.
   std::vector<double> ShardLowerBounds() const;
 
-  /// Sum of all shards' pager counters. Rebalance replaces shard pagers, so
-  /// the aggregate restarts from zero after one.
+  /// Sum of all shards' pager counters — on a live engine the writer
+  /// pagers only (MVCC view handles are not counted); on a snapshot also
+  /// the view handles that served its queries. Rebalance replaces shard
+  /// pagers, so the aggregate restarts from zero after one.
   em::IoStats AggregatedIoStats() const;
   /// Sum of all shards' Pager::Space() — file_blocks is the volume a full
   /// replication bootstrap ships.
@@ -289,30 +294,24 @@ class ShardedTopkEngine {
   std::string DumpMetrics() const;
 
  private:
-  /// One independent read handle on a snapshot shard: its own pager (own
-  /// mmap of the shared file, own pool bookkeeping) + index view. mu
-  /// serializes queries on this handle only.
-  struct Replica {
-    std::unique_ptr<em::Pager> pager;
-    std::unique_ptr<core::TopkIndex> index;
-    std::mutex mu;
-  };
-
-  /// MVCC (options_.mvcc; DESIGN.md §14): one lock-free read handle inside a
-  /// published ShardView — a read-only pager over a shared read view of the
-  /// live shard's device, plus an index view opened on that pager. mu
-  /// serializes queries on this handle only (rotation finds a free one).
+  /// One lock-free read handle inside a ShardView — a read-only pager over
+  /// a shared read view of the shard pager's device (its own pool and
+  /// IoStats), plus an index view opened on that pager. mu serializes
+  /// queries on this handle only (rotation finds a free one).
   struct ReadHandle {
     std::unique_ptr<em::Pager> pager;
     std::unique_ptr<core::TopkIndex> index;
     std::mutex mu;
   };
 
-  /// An immutable epoch of one shard, published after a per-shard checkpoint
-  /// and read without the shard mutex. The pin is declared FIRST so it is
-  /// released LAST: the handles' pagers read blocks the pin keeps alive
-  /// (retirement waits for the oldest pin), so they must close before the
-  /// pin returns those blocks to the writer's free list.
+  /// An immutable image of one shard, read without the shard mutex. MVCC
+  /// (options_.mvcc; DESIGN.md §14) publishes one after every per-shard
+  /// checkpoint, pinned to its epoch; a snapshot (OpenSnapshot) publishes
+  /// one at open with an empty pin — its files are quiescent — and never
+  /// replaces it. The pin is declared FIRST so it is released LAST: the
+  /// handles' pagers read blocks the pin keeps alive (retirement waits for
+  /// the oldest pin), so they must close before the pin returns those
+  /// blocks to the writer's free list.
   struct ShardView {
     em::EpochPin pin;
     std::uint64_t epoch = 0;
@@ -326,7 +325,7 @@ class ShardedTopkEngine {
   };
 
   struct Shard {
-    Shard() = default;  // Recover fills pager/index from the checkpoint
+    Shard() = default;  // Recover/OpenSnapshot fill pager/index from a file
     explicit Shard(const em::EmOptions& em)
         : pager(std::make_unique<em::Pager>(em)) {}
     std::unique_ptr<em::Pager> pager;
@@ -337,10 +336,6 @@ class ShardedTopkEngine {
     // this shard. A clean shard's checkpoint is skipped (its file already
     // holds this exact state).
     std::atomic<bool> dirty{true};
-    // Snapshot mode only: pager/index above stay null and queries claim a
-    // free replica instead (see TopKLocked).
-    std::vector<std::unique_ptr<Replica>> replicas;
-    mutable std::atomic<std::uint32_t> next_replica{0};
     // Pruning sketch (DESIGN.md §11). fence_mu lets the router read bounds
     // without taking the shard mutex (which queries in flight hold for the
     // whole probe); updates touch the fence under BOTH mu and fence_mu, so
@@ -352,11 +347,12 @@ class ShardedTopkEngine {
     // Pager block chain holding the fence blob of the LAST checkpoint
     // (kNullBlock before the first); freed and rewritten by the next one.
     em::BlockId fence_root = em::kNullBlock;
-    // MVCC: the currently published epoch view (null before the first
-    // publication; queries then fall back to the locked probe). Declared
-    // LAST so it is destroyed FIRST — its handles' pagers alias this
-    // shard's device and its pin unregisters with this shard's pager, both
-    // of which must still be alive.
+    // The published view (an MVCC epoch or the snapshot image). Null on a
+    // non-MVCC live engine, before the first publication, or when the
+    // backend cannot share reads; queries then take the locked probe.
+    // Declared LAST so it is destroyed FIRST — its handles' pagers alias
+    // this shard's device and its pin unregisters with this shard's pager,
+    // both of which must still be alive.
     std::atomic<std::shared_ptr<const ShardView>> view;
   };
 
@@ -447,6 +443,19 @@ class ShardedTopkEngine {
   /// the older epoch.
   void PublishShardLocked(std::size_t i, Shard& sh);
 
+  /// Builds a view of shard `i`'s current checkpoint holding `pin`: a copy
+  /// of the fence plus `threads + 1` read handles, each Pager::OpenOn a
+  /// ShareReadView() of sh.pager. Null when the backend cannot share reads
+  /// or a handle fails to open (the shard then serves locked). Caller holds
+  /// sh.mu or owns the shard exclusively.
+  std::shared_ptr<const ShardView> MakeShardView(std::size_t i, Shard& sh,
+                                                 em::EpochPin pin,
+                                                 std::uint64_t epoch) const;
+
+  /// The I/O counters shard `sh` accounts for: its pager's, plus — on a
+  /// snapshot only — its view handles'. Caller holds sh.mu.
+  em::IoStats AccountedIoStatsLocked(const Shard& sh) const;
+
   EngineOptions options_;
   // Telemetry sits directly after options_ so it is destroyed LAST: shard
   // pagers/pools/WALs and the thread pool all hold raw pointers into the
@@ -485,9 +494,9 @@ class ShardedTopkEngine {
       n_queries_{0}, n_rejected_{0}, n_batches_{0}, n_rebalances_{0};
   mutable std::atomic<std::uint64_t> n_shards_pruned_{0}, n_fence_checks_{0},
       n_query_waves_{0};
-  // Shard-mutex acquisitions by the query path. Non-MVCC engines count
-  // every probe here; MVCC engines count only locked fallbacks, so a test
-  // can assert 0 to prove every probe rode a published view.
+  // Shard-mutex acquisitions by the query path. Non-MVCC live engines count
+  // every probe here; MVCC engines and snapshots count only locked
+  // fallbacks, so a test can assert 0 to prove every probe rode a view.
   mutable std::atomic<std::uint64_t> n_query_shard_locks_{0};
 };
 

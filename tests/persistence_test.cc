@@ -550,32 +550,142 @@ std::vector<std::string> ShardFileImages(const engine::EngineOptions& opts) {
 }
 
 TEST(SnapshotServingTest, OracleIdenticalQueriesWithoutWrites) {
-  TempDir dir("snap");
+  // The default backend (kMem, promoted to read-only kMmap: zero-copy
+  // borrows) and an explicit kFile (copying reads through the file
+  // device's shared read view) serve the same oracle.
+  for (const em::Backend backend : {em::Backend::kMem, em::Backend::kFile}) {
+    SCOPED_TRACE(backend == em::Backend::kMem ? "default backend" : "kFile");
+    TempDir dir("snap");
+    engine::EngineOptions opts;
+    opts.num_shards = 4;
+    opts.threads = 2;
+    opts.em.block_words = 64;
+    opts.em.pool_frames = 16;
+    opts.em.backend = backend;
+    opts.storage_dir = dir.path();
+
+    Rng rng(41);
+    auto points = MakePoints(&rng, 2000);
+    auto queries = MakeQueries(&rng, 300);
+    {
+      auto built = engine::ShardedTopkEngine::Build(points, opts);
+      ASSERT_TRUE(built.ok());
+      ASSERT_TRUE((*built)->Checkpoint().ok());
+    }  // restart: the snapshot serves the files alone
+
+    const auto images_before = ShardFileImages(opts);
+    auto snap = engine::ShardedTopkEngine::OpenSnapshot(opts);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    auto& eng = *snap;
+    EXPECT_TRUE(eng->snapshot());
+    EXPECT_EQ(eng->size(), points.size());
+    eng->CheckInvariants();
+
+    // Every query answers exactly as a plain index over the point set would
+    // — the borrowed zero-copy read path returns the same bytes.
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      auto r = eng->TopK(queries[i].x1, queries[i].x2, queries[i].k);
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(*r, internal::NaiveTopK(points, queries[i].x1, queries[i].x2,
+                                        queries[i].k))
+          << "query " << i;
+    }
+    if (backend == em::Backend::kMem) {
+      // The zero-copy path actually engaged (mmap shards borrow their reads).
+      EXPECT_GT(eng->AggregatedIoStats().borrows, 0u);
+    } else {
+      // The snapshot's I/O accounting covers the reads its queries served.
+      EXPECT_GT(eng->AggregatedIoStats().reads, 0u);
+    }
+
+    // Concurrent readers: oracle-identical under contention, every probe on
+    // a handle of the shard's one published view (no shard mutex taken).
+    std::vector<std::thread> readers;
+    std::atomic<int> failures{0};
+    for (int t = 0; t < 4; ++t) {
+      readers.emplace_back([&, t] {
+        for (std::size_t i = t; i < queries.size(); i += 2) {
+          auto r = eng->TopK(queries[i].x1, queries[i].x2, queries[i].k);
+          if (!r.ok() ||
+              *r != internal::NaiveTopK(points, queries[i].x1, queries[i].x2,
+                                        queries[i].k)) {
+            failures.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& th : readers) th.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(eng->counters().query_shard_locks, 0u);
+
+    // Read-only contract: every mutation path refuses...
+    EXPECT_EQ(eng->Insert(Point{5e6, 9.0}).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(eng->Delete(points[0]).code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(eng->Checkpoint().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(eng->Rebalance().code(), StatusCode::kFailedPrecondition);
+    EXPECT_FALSE(eng->MaybeRebalance());
+    std::vector<engine::Request> batch;
+    batch.push_back(engine::Request::MakeInsert(Point{5e6, 9.0}));
+    batch.push_back(engine::Request::MakeTopk(0.0, 1e6, 5));
+    std::vector<engine::Response> out;
+    eng->ExecuteBatch(batch, &out);
+    EXPECT_EQ(out[0].status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(out[1].points, internal::NaiveTopK(points, 0.0, 1e6, 5));
+
+    // ...and the files' bytes are untouched by all of the above.
+    EXPECT_EQ(ShardFileImages(opts), images_before);
+
+    // A live engine can still Recover() from the same (unmodified) directory
+    // and accept updates — after the snapshot closes (the serving contract:
+    // the files stay quiescent while a snapshot is open).
+    snap->reset();
+    auto recovered = engine::ShardedTopkEngine::Recover(opts);
+    ASSERT_TRUE(recovered.ok());
+    ASSERT_TRUE((*recovered)->Insert(Point{5e6, 9.0}).ok());
+    (*recovered)->CheckInvariants();
+  }
+}
+
+// A COW directory's stamped checkpoint stays byte-intact under a WAL tail
+// (DESIGN.md §14.3): a snapshot serves exactly that checkpoint, ignores
+// the unreplayed tail instead of refusing it, and never writes the files.
+TEST(SnapshotServingTest, CowWalTailServesStampedCheckpoint) {
+  TempDir dir("snap-cow-tail");
   engine::EngineOptions opts;
   opts.num_shards = 4;
   opts.threads = 2;
-  opts.em = em::EmOptions{.block_words = 64, .pool_frames = 16};
+  opts.em.block_words = 64;
+  opts.em.pool_frames = 16;
+  opts.em.cow_epochs = true;
   opts.storage_dir = dir.path();
+  opts.durability = engine::Durability::kWal;
 
-  Rng rng(41);
-  auto points = MakePoints(&rng, 2000);
-  auto queries = MakeQueries(&rng, 300);
+  Rng rng(47);
+  auto points = MakePoints(&rng, 1500);
+  auto queries = MakeQueries(&rng, 200);
+  std::vector<Point> tail = points;
   {
     auto built = engine::ShardedTopkEngine::Build(points, opts);
     ASSERT_TRUE(built.ok());
-    ASSERT_TRUE((*built)->Checkpoint().ok());
-  }  // restart: the snapshot serves the files alone
+    auto& eng = *built;
+    ASSERT_TRUE(eng->Checkpoint().ok());
+    for (int i = 0; i < 120; ++i) {
+      Point p{2e6 + i, 3.0 + i * 1e-3};
+      ASSERT_TRUE(eng->Insert(p).ok());
+      tail.push_back(p);
+    }
+    for (int i = 0; i < 60; ++i) {
+      ASSERT_TRUE(eng->Delete(points[i]).ok());
+    }
+  }  // dropped without a checkpoint: the updates live only in the log tail
 
   const auto images_before = ShardFileImages(opts);
   auto snap = engine::ShardedTopkEngine::OpenSnapshot(opts);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   auto& eng = *snap;
-  EXPECT_TRUE(eng->snapshot());
   EXPECT_EQ(eng->size(), points.size());
   eng->CheckInvariants();
-
-  // Every query answers exactly as a plain index over the point set would
-  // — the borrowed zero-copy read path returns the same bytes.
   for (std::size_t i = 0; i < queries.size(); ++i) {
     auto r = eng->TopK(queries[i].x1, queries[i].x2, queries[i].k);
     ASSERT_TRUE(r.ok());
@@ -583,53 +693,13 @@ TEST(SnapshotServingTest, OracleIdenticalQueriesWithoutWrites) {
                                       queries[i].k))
         << "query " << i;
   }
-  // The zero-copy path actually engaged (mmap shards borrow their reads).
-  EXPECT_GT(eng->AggregatedIoStats().borrows, 0u);
-
-  // Concurrent readers: oracle-identical under contention, replicas shared.
-  std::vector<std::thread> readers;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&, t] {
-      for (std::size_t i = t; i < queries.size(); i += 2) {
-        auto r = eng->TopK(queries[i].x1, queries[i].x2, queries[i].k);
-        if (!r.ok() ||
-            *r != internal::NaiveTopK(points, queries[i].x1, queries[i].x2,
-                                      queries[i].k)) {
-          failures.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& th : readers) th.join();
-  EXPECT_EQ(failures.load(), 0);
-
-  // Read-only contract: every mutation path refuses...
-  EXPECT_EQ(eng->Insert(Point{5e6, 9.0}).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(eng->Delete(points[0]).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(eng->Checkpoint().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(eng->Rebalance().code(), StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(eng->MaybeRebalance());
-  std::vector<engine::Request> batch;
-  batch.push_back(engine::Request::MakeInsert(Point{5e6, 9.0}));
-  batch.push_back(engine::Request::MakeTopk(0.0, 1e6, 5));
-  std::vector<engine::Response> out;
-  eng->ExecuteBatch(batch, &out);
-  EXPECT_EQ(out[0].status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(out[1].points, internal::NaiveTopK(points, 0.0, 1e6, 5));
-
-  // ...and the files' bytes are untouched by all of the above.
-  EXPECT_EQ(ShardFileImages(opts), images_before);
-
-  // A live engine can still Recover() from the same (unmodified) directory
-  // and accept updates — after the snapshot closes (the serving contract:
-  // the files stay quiescent while a snapshot is open).
+  // The tail's champions are invisible: the snapshot is the checkpoint.
+  auto top = eng->TopK(-kInf, kInf, 5);
+  ASSERT_TRUE(top.ok());
+  EXPECT_EQ(*top, internal::NaiveTopK(points, -kInf, kInf, 5));
+  EXPECT_NE(*top, internal::NaiveTopK(tail, -kInf, kInf, 5));
   snap->reset();
-  auto recovered = engine::ShardedTopkEngine::Recover(opts);
-  ASSERT_TRUE(recovered.ok());
-  ASSERT_TRUE((*recovered)->Insert(Point{5e6, 9.0}).ok());
-  (*recovered)->CheckInvariants();
+  EXPECT_EQ(ShardFileImages(opts), images_before);
 }
 
 // ---------------------------------------------------------------------------

@@ -566,8 +566,8 @@ TEST(ReplTortureTest, PrimarySigkillMidStreamFailoverAndCatchup) {
     }
   });
 
-  // Two follower processes' worth of replicas (in-process here; the bench
-  // and CI smoke run them as real processes).
+  // Two followers (in-process here; the bench and CI smoke run them as
+  // real processes).
   std::vector<std::unique_ptr<Follower>> followers;
   for (int i = 0; i < 2; ++i) {
     auto f = Follower::Start(FollowerOptions(

@@ -386,6 +386,50 @@ TEST(WalTailFollowerTest, DeliversAcrossPollsAndSkipsUnchangedFiles) {
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7}));
 }
 
+// An appender creates its segment empty, grows it by one zero-filled block,
+// then writes the header. A poll landing in either window must read "not
+// formatted yet" (NotFound, try again), while WalReader::Open keeps calling
+// the same headerless file a FailedPrecondition.
+void ExpectUnformattedSegmentPollsNotFound(const std::string& path,
+                                           std::size_t zero_blocks) {
+  constexpr std::uint32_t kBlockWords = 64;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const std::vector<char> zeros(zero_blocks * kBlockWords * sizeof(word_t),
+                                  0);
+    out.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+  }
+  WalTailFollower follower(WalTailFollower::Options{path, kBlockWords, 0});
+  auto cb = [](const WriteAheadLog::Record&,
+               std::span<const word_t>) -> Status { return Status::Ok(); };
+  EXPECT_EQ(follower.Poll(cb).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(WalReader::Open(path, kBlockWords).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // Once the header lands, the same follower reads the segment normally.
+  WriteAheadLog::Options o;
+  o.path = path;
+  o.block_words = kBlockWords;
+  fs::remove(path);
+  auto log = WriteAheadLog::Open(o);
+  ASSERT_TRUE(log.ok());
+  (*log)->Append(WriteAheadLog::RecordType::kLogical, Payload(1, 3));
+  (*log)->Sync();
+  auto polled = follower.Poll(cb);
+  ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+  EXPECT_EQ(*polled, 1u);
+}
+
+TEST(WalTailFollowerTest, EmptySegmentPollsNotFound) {
+  TempDir dir("tail-empty");
+  ExpectUnformattedSegmentPollsNotFound(dir.File("t.wal"), 0);
+}
+
+TEST(WalTailFollowerTest, ZeroFilledHeaderBlockPollsNotFound) {
+  TempDir dir("tail-zero-header");
+  ExpectUnformattedSegmentPollsNotFound(dir.File("t.wal"), 1);
+}
+
 TEST(WalTailFollowerTest, StartAfterSkipsCoveredRecords) {
   TempDir dir("tail-start");
   WriteAheadLog::Options o;
