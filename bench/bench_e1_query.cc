@@ -1,10 +1,13 @@
 // E1 — Theorem 1 query cost: O(lg n + k/B) I/Os.
 //   (a) fixed k, growing n: the additive term grows logarithmically;
-//   (b) fixed n, growing k: cost tracks k/B linearly past the base.
+//   (b) fixed n, growing k: cost tracks k/B linearly past the base. Gated:
+//       every row stays within kC * (lg n + k/B), and the pilot-direct row
+//       at the cutoff costs at most 1.5x the threshold-path row just below.
 
 #include "bench/common.h"
 #include "core/topk_index.h"
 #include "util/bits.h"
+#include "util/check.h"
 
 using namespace tokra;
 using namespace tokra::bench;
@@ -48,15 +51,21 @@ int main() {
   }
 
   Header("E1b: query I/Os vs k (n=2^17, B=256)",
-         {"k", "k/B", "query I/Os (avg of 12)", "I/Os - base"});
+         {"k", "k/B", "query I/Os (avg of 12)", "I/Os - base",
+          "I/Os / (lg n + k/B)"});
   {
     em::Pager pager(em::EmOptions{.block_words = 256, .pool_frames = 64});
     Rng rng(2);
     const std::size_t n = 1u << 17;
     auto built = core::TopkIndex::Build(&pager, RandomPoints(&rng, n));
     auto& idx = *built;
-    double base = 0;
-    for (std::uint64_t k : {1u, 16u, 128u, 1024u, 4096u, 16384u}) {
+    const std::uint64_t cutoff = idx->PilotCutoff();
+    // I/Os per (lg n + k/B) unit that no row may exceed.
+    constexpr double kC = 6;
+    double base = 0, below_cutoff = 0;
+    for (std::uint64_t k : {std::uint64_t{1}, std::uint64_t{16},
+                            std::uint64_t{128}, std::uint64_t{1024},
+                            cutoff - 1, cutoff, std::uint64_t{16384}}) {
       std::uint64_t total = 0;
       const int probes = 12;
       obs::Histogram lat;
@@ -68,13 +77,18 @@ int main() {
       }
       double avg = static_cast<double>(total) / probes;
       if (k == 1) base = avg;
-      Row({U(k), D(static_cast<double>(k) / 256.0), D(avg), D(avg - base)});
+      double units = static_cast<double>(Lg(n)) + static_cast<double>(k) / 256;
+      Row({U(k), D(static_cast<double>(k) / 256.0), D(avg), D(avg - base),
+           D(avg / units)});
       RecordLatency("E1b k=" + U(k), lat.Snapshot());
+      TOKRA_CHECK(avg <= kC * units);
+      if (k == cutoff - 1) below_cutoff = avg;
+      if (k == cutoff) TOKRA_CHECK(avg <= 1.5 * below_cutoff);
     }
     RecordIoStats("E1b total", pager.stats());
   }
   std::printf(
       "\nShape check: E1a column 4 roughly constant; E1b column 4 tracks "
-      "k/B.\n");
+      "k/B (E1b's per-k bound and cutoff step are checked).\n");
   return 0;
 }

@@ -1,10 +1,12 @@
 // E3 — Lemma 1: the pilot PST answers top-k in O(lg n + k/B) I/Os (log base
 // TWO) and updates in O(lg_B n) amortized; once k >= B lg n its query is
-// dominated by the optimal k/B term.
+// dominated by the optimal k/B term, which is checked: I/Os per k/B unit
+// stay at most kPerUnit there.
 
 #include "bench/common.h"
 #include "pilot/pilot_pst.h"
 #include "util/bits.h"
+#include "util/check.h"
 
 using namespace tokra;
 using namespace tokra::bench;
@@ -26,7 +28,10 @@ int main() {
         pst.TopK(1e5, 9e5, k).value();
       });
       double kb = static_cast<double>(k) / 128.0;
-      Row({U(k), U(blgn), U(ios), D(kb), D(ios / std::max(kb, 1.0))});
+      double per_unit = ios / std::max(kb, 1.0);
+      Row({U(k), U(blgn), U(ios), D(kb), D(per_unit)});
+      constexpr double kPerUnit = 8;
+      if (k >= blgn) TOKRA_CHECK(per_unit <= kPerUnit);
     }
   }
 
@@ -47,6 +52,6 @@ int main() {
          D(static_cast<double>(ios) / (2 * fresh.size()))});
   }
   std::printf("\nShape check: query I/Os/(k/B) flatten to a small constant "
-              "for k >= B lg n; update I/Os grow ~lg_B n.\n");
+              "for k >= B lg n (checked); update I/Os grow ~lg_B n.\n");
   return 0;
 }

@@ -9,8 +9,9 @@
 // improvement over [14], is reproduced exactly. See DESIGN.md.)
 //
 // Composition per Section 1.2:
-//   * k >= B lg n            -> the Lemma 1 pilot PST answers directly
-//                               (its O(lg n + k/B) = O(k/B) here);
+//   * k >= B lg n            -> the Lemma 1 pilot PST answers directly by a
+//                               best-first descent of script-T by max pilot
+//                               score (its O(lg n + k/B) = O(k/B) here);
 //   * k <  B lg n, lg n <= B^(1/6) -> ST12 selector provides a k-threshold
 //                               (its update cost is O(lg_B n) in this regime);
 //   * k <  B lg n, B < lg^6 n -> the Lemma 4 structure provides the
@@ -97,6 +98,10 @@ class TopkIndex {
   StatusOr<std::vector<Point>> TopK(double x1, double x2, std::uint64_t k,
                                     TopkQueryStats* stats = nullptr) const;
 
+  /// k at or above this goes straight to the pilot PST (B lg n rule, capped
+  /// by the Lemma 4 structure's l when it is the selector).
+  std::uint64_t PilotCutoff() const;
+
   /// Frees every block.
   void DestroyAll();
 
@@ -106,9 +111,6 @@ class TopkIndex {
  private:
   TopkIndex(em::Pager* pager, Options options) : pager_(pager),
                                                  options_(options) {}
-
-  /// k at or above this goes straight to the pilot PST (B lg n rule).
-  std::uint64_t PilotCutoff() const;
 
   /// (Re)writes the meta block linking the component structures.
   void WriteMeta();

@@ -92,7 +92,8 @@ inline constexpr std::size_t kMLive = 1;
 inline constexpr std::size_t kMKeys = 2;
 inline constexpr std::size_t kMBranch = 3;  // a
 inline constexpr std::size_t kMLeafCap = 4;  // b
-inline constexpr std::size_t kMPhi = 5;
+inline constexpr std::size_t kMPhi = 5;  // reserved, unread (older files
+                                          // hold Lemma 2's phi here)
 inline constexpr std::size_t kMHeight = 6;  // base-tree levels (root level)
 
 }  // namespace tokra::pilot

@@ -13,8 +13,9 @@
 //   secondary binary tree T(u) / big tree script-T -> TNodeRec arrays
 //   pilot(v), B/2 <= |pilot| <= 2B, representative -> pilot blocks + rec
 //   representative blocks of u                     -> the TNodeRec array
-//   heap concatenation + Frederickson selection    -> select::SelectTop over
-//                                                     a pager-charged view
+//   Lemma 2 query (Q1/Q2/Q3 candidate pool,        -> exact best-first
+//     heap selection of phi (lg n + k/B) reps)        descent of script-T
+//                                                     by max pilot score
 //   insertion/deletion tokens (Lemma 3)            -> per-record counters
 //                                                     checked when
 //                                                     TOKRA_PARANOID is on
@@ -33,21 +34,16 @@
 
 namespace tokra::pilot {
 
-/// Per-query instrumentation for experiments E3/E7/E10.
+/// Per-query instrumentation for experiments E7/E10.
 struct QueryStats {
-  std::uint64_t q1_points = 0;       ///< path pilot points (Q1)
-  std::uint64_t q2_points = 0;       ///< selected-subtree pilot points (Q2)
-  std::uint64_t q3_points = 0;       ///< sibling/children pilot points (Q3)
-  std::uint64_t reps_selected = 0;   ///< t = phi (lg n + k/B) realized
-  std::uint64_t heap_nodes_visited = 0;
-  std::uint64_t comparisons = 0;     ///< CPU-side (free in the model)
+  std::uint64_t nodes_visited = 0;  ///< T-node records loaded
+  std::uint64_t pilots_read = 0;    ///< pilot sets read (nodes popped)
+  std::uint64_t candidates = 0;     ///< in-range points kept as candidates
 };
 
 class PilotPst {
  public:
   struct Options {
-    /// phi of Lemma 2; 16 makes the candidate set provably sufficient.
-    std::uint32_t phi = 16;
     /// Base-tree branching parameter a (0 = derive max(4, B/16)).
     std::uint32_t branch = 0;
     /// Leaf capacity b (0 = derive B).
@@ -80,7 +76,9 @@ class PilotPst {
   Status Delete(const Point& p);
 
   /// The k highest-scored points with x in [x1, x2], score-descending.
-  /// Returns all of them if fewer than k. O(lg n + k/B) I/Os.
+  /// Returns all of them if fewer than k. O(lg n + k/B) I/Os: a best-first
+  /// descent of script-T by max pilot score that stops once k candidates
+  /// are held and no unread subtree can beat the k-th (query.cc).
   StatusOr<std::vector<Point>> TopK(double x1, double x2, std::uint64_t k,
                                     QueryStats* stats = nullptr) const;
 
@@ -100,8 +98,6 @@ class PilotPst {
   void CheckInvariants() const;
 
  private:
-  friend class PilotHeapView;
-
   PilotPst(em::Pager* pager, em::BlockId meta) : pager_(pager), meta_(meta) {}
 
   // ---- parameters ----

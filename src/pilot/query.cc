@@ -1,229 +1,115 @@
-// The Section 2 query algorithm: boundary paths (Q1), heap concatenation +
-// selection over the covered subtrees (Q2), sibling/children augmentation
-// (Q3), and a final top-k over the candidate union (Lemma 2: phi = 16 makes
-// Q1 u Q2 u Q3 a superset of the true top-k).
+// Pilot PST queries: an exact best-first top-k descent of script-T keyed by
+// each T-node's max pilot score, and max-score-pruned 3-sided reporting.
+//
+// TopK pops T-nodes in decreasing pmax order. Heap order of the pilot sets
+// (every point below a node scores under its representative) makes the pops
+// monotone, so once k in-range candidates are held and the frontier's best
+// pmax is below the k-th held score, no unread point can enter the answer.
+// A popped node is on one of the two boundary paths (O(lg n) nodes) or has
+// a slab covered by [x1, x2]; a covered popped node whose parent is covered
+// too sits under a parent whose whole pilot (>= B/2 points while anything
+// lies below it) is in the answer, so pops are O(lg n + k/B) and so are the
+// record and pilot-block reads (DESIGN.md §3.1).
 
 #include <algorithm>
-#include <unordered_set>
+#include <limits>
 
 #include "pilot/pilot_pst.h"
-#include "select/select.h"
-#include "util/bits.h"
-#include "util/check.h"
 
 namespace tokra::pilot {
 namespace {
-
-struct TRefHash {
-  std::size_t operator()(const TRef& t) const {
-    return std::hash<std::uint64_t>()(t.base * 1000003u + t.idx);
-  }
-};
-
-using TRefSet = std::unordered_set<TRef, TRefHash>;
-
+constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
-
-/// Max-heap view over the big tree script-T restricted to the Pi subtrees:
-/// node key = representative score of its pilot set; children = T-children
-/// with non-empty pilots (an empty pilot implies an empty subtree, so the
-/// pruning is exact). Every view call costs O(1) block reads through the
-/// pager, which is what gives the O(lg n + k/B) selection cost.
-class PilotHeapView : public select::HeapView {
- public:
-  PilotHeapView(const PilotPst* pst, std::vector<TRef> roots)
-      : pst_(pst) {
-    for (const TRef& r : roots) {
-      TNodeRec rec = pst_->LoadTNode(r);
-      if (rec.pilot_count == 0) continue;
-      registry_.push_back(r);
-      root_nodes_.push_back(
-          select::HeapNode{registry_.size() - 1, rec.rep()});
-    }
-  }
-
-  void Roots(std::vector<select::HeapNode>* out) const override {
-    for (const auto& n : root_nodes_) out->push_back(n);
-  }
-
-  void Children(select::NodeId id,
-                std::vector<select::HeapNode>* out) const override {
-    TRef t = registry_[id];
-    TNodeRec rec = pst_->LoadTNode(t);
-    std::vector<TRef> kids;
-    if (rec.is_slab()) {
-      TRef c = pst_->SlabChild(rec);
-      if (c.valid()) kids.push_back(c);
-    } else {
-      kids.push_back(TRef{t.base, static_cast<TIndex>(rec.left)});
-      kids.push_back(TRef{t.base, static_cast<TIndex>(rec.right)});
-    }
-    for (const TRef& c : kids) {
-      TNodeRec crec = pst_->LoadTNode(c);
-      if (crec.pilot_count == 0) continue;  // empty pilot => empty subtree
-      registry_.push_back(c);
-      out->push_back(select::HeapNode{registry_.size() - 1, crec.rep()});
-    }
-  }
-
-  const TRef& Resolve(select::NodeId id) const { return registry_[id]; }
-
- private:
-  const PilotPst* pst_;
-  mutable std::vector<TRef> registry_;
-  std::vector<select::HeapNode> root_nodes_;
-};
 
 StatusOr<std::vector<Point>> PilotPst::TopK(double x1, double x2,
                                             std::uint64_t k,
                                             QueryStats* stats) const {
   if (x1 > x2) return Status::InvalidArgument("x1 > x2");
-  if (k == 0) return std::vector<Point>{};
-  std::uint64_t n = size();
-  if (n == 0) return std::vector<Point>{};
+  if (k == 0 || size() == 0) return std::vector<Point>{};
+  QueryStats local;
+  QueryStats& st = stats != nullptr ? *stats : local;
 
-  // ---- boundary paths pi1, pi2; Q1 = their pilot points inside q ------
+  // Frontier: a max-heap on pmax over indices into `nodes`.
+  std::vector<std::pair<TRef, TNodeRec>> nodes;
+  std::vector<std::size_t> frontier;
+  auto lower_pmax = [&](std::size_t a, std::size_t b) {
+    return nodes[a].second.pmax() < nodes[b].second.pmax();
+  };
+  // Candidates: in-range points read so far that may still rank in the top
+  // k. cand[0, sorted) is score-descending; later points are unsorted
+  // arrivals. `kth` is the exact k-th best as of the last merge (-inf until
+  // k are held); a stale value is a valid, looser prune bound.
   std::vector<Point> cand;
-  TRefSet visited;
-  std::vector<std::pair<TRef, TNodeRec>> path_recs;
-
-  auto descend = [&](double x) {
-    em::BlockId cur = MetaGet(kMRoot);
-    while (true) {
-      em::PageRef h = pager_->Fetch(cur);
-      if (h.Get(kHKind) == 1) return;  // base leaf: path ends
-      TIndex v = static_cast<TIndex>(h.Get(kHIntRoot));
-      h = em::PageRef();
-      std::vector<TNodeRec> recs = LoadTNodes(cur);
-      while (true) {
-        TRef t{cur, v};
-        if (visited.insert(t).second) {
-          path_recs.emplace_back(t, recs[v]);
-        }
-        const TNodeRec& rec = recs[v];
-        if (rec.is_slab()) {
-          cur = rec.base_child;
-          break;
-        }
-        const TNodeRec& left = recs[static_cast<TIndex>(rec.left)];
-        v = (x < left.hi_x()) ? static_cast<TIndex>(rec.left)
-                              : static_cast<TIndex>(rec.right);
-      }
-    }
+  std::size_t sorted = 0;
+  double kth = -kInf;
+  // Sorts the arrivals into the prefix and keeps the best `keep`.
+  auto merge = [&](std::size_t keep) {
+    std::sort(cand.begin() + sorted, cand.end(), ByScoreDesc{});
+    std::inplace_merge(cand.begin(), cand.begin() + sorted, cand.end(),
+                       ByScoreDesc{});
+    cand.resize(std::min(keep, cand.size()));
+    sorted = cand.size();
   };
-  descend(x1);
-  descend(x2);
 
-  for (const auto& [t, rec] : path_recs) {
-    if (rec.pilot_count == 0) continue;
-    std::vector<Point> pts = PilotRead(rec);
-    for (const Point& p : pts) {
-      if (p.x >= x1 && p.x <= x2) {
-        cand.push_back(p);
-        if (stats != nullptr) ++stats->q1_points;
-      }
-    }
-  }
-
-  // ---- Pi: off-path children whose slab is covered by q -----------------
-  auto covered = [&](const TNodeRec& rec) {
-    return rec.lo_x() >= x1 && rec.hi_x() <= x2;
-  };
-  std::vector<TRef> pi;
-  for (const auto& [t, rec] : path_recs) {
-    std::vector<TRef> kids;
-    if (rec.is_slab()) {
-      TRef c = SlabChild(rec);
-      if (c.valid()) kids.push_back(c);
-    } else {
-      kids.push_back(TRef{t.base, static_cast<TIndex>(rec.left)});
-      kids.push_back(TRef{t.base, static_cast<TIndex>(rec.right)});
-    }
-    for (const TRef& c : kids) {
-      if (visited.count(c) > 0) continue;
-      TNodeRec crec = LoadTNode(c);
-      if (covered(crec)) pi.push_back(c);
-    }
-  }
-
-  // ---- heap concatenation + selection of phi (lg n + k/B) reps ---------
-  std::uint64_t phi = MetaGet(kMPhi);
-  std::uint64_t t_sel = phi * (Lg(n) + CeilDiv(k, B()));
-  PilotHeapView view(this, pi);
-  select::SelectStats sel_stats;
-  std::vector<select::HeapNode> top =
-      select::SelectTop(view, t_sel, select::Strategy::kBestFirst,
-                        &sel_stats);
-  if (stats != nullptr) {
-    stats->reps_selected = top.size();
-    stats->heap_nodes_visited = sel_stats.nodes_visited;
-    stats->comparisons = sel_stats.comparisons;
-  }
-
-  // ---- Q2: pilot sets of the selected nodes ----------------------------
-  TRefSet sr;
-  std::vector<std::pair<TRef, TNodeRec>> sr_recs;
-  for (const select::HeapNode& nd : top) {
-    TRef t = view.Resolve(nd.id);
-    sr.insert(t);
-  }
-  TRefSet collected;  // pilot sets already emitted into the candidate pool
-  auto emit = [&](const TRef& t, const TNodeRec& rec, std::uint64_t* counter) {
-    if (!collected.insert(t).second) return;
-    if (rec.pilot_count == 0) return;
-    std::vector<Point> pts = PilotRead(rec);
-    for (const Point& p : pts) {
-      if (p.x >= x1 && p.x <= x2) {
-        cand.push_back(p);
-        if (counter != nullptr) ++(*counter);
-      }
-    }
-  };
-  for (const select::HeapNode& nd : top) {
-    TRef t = view.Resolve(nd.id);
-    sr_recs.emplace_back(t, LoadTNode(t));
-  }
-  // All selected pilot sets are known now: batch their blocks into one
-  // device submission before any is read (the k/B term of the query).
-  PrefetchPilots(sr_recs);
-  for (const auto& [t, rec] : sr_recs) {
-    emit(t, rec, stats != nullptr ? &stats->q2_points : nullptr);
-  }
-
-  // ---- Q3: uncollected siblings (covered by q) and children of SR ------
-  auto maybe_emit_ref = [&](const TRef& t, bool require_cover) {
-    if (sr.count(t) > 0 || visited.count(t) > 0) return;
+  auto offer = [&](const TRef& t) {
     TNodeRec rec = LoadTNode(t);
-    if (require_cover && !covered(rec)) return;
-    emit(t, rec, stats != nullptr ? &stats->q3_points : nullptr);
+    ++st.nodes_visited;
+    if (rec.hi_x() <= x1 || rec.lo_x() > x2) return;  // slab disjoint
+    if (rec.pilot_count == 0) return;  // empty pilot => empty subtree
+    if (rec.pmax() < kth) return;      // whole subtree below the k-th score
+    nodes.emplace_back(t, rec);
+    frontier.push_back(nodes.size() - 1);
+    std::push_heap(frontier.begin(), frontier.end(), lower_pmax);
   };
-  for (const auto& [t, rec] : sr_recs) {
-    // Sibling in script-T (if any): the other child of the T-parent.
-    if (rec.parent != ~std::uint64_t{0}) {
-      TNodeRec prec = LoadTNode(TRef{t.base, static_cast<TIndex>(rec.parent)});
-      TIndex sib = (static_cast<TIndex>(prec.left) == t.idx)
-                       ? static_cast<TIndex>(prec.right)
-                       : static_cast<TIndex>(prec.left);
-      maybe_emit_ref(TRef{t.base, sib}, /*require_cover=*/true);
+
+  // Popped nodes whose pilots are not read yet. A pilot adds at most
+  // pilot_count candidates, so while held + pending counts stay below k the
+  // stop test cannot fire and the next pop is certain: those pilot blocks
+  // go to the device as one batch, and no block is read that the one-by-one
+  // descent would skip.
+  std::vector<std::pair<TRef, TNodeRec>> pending;
+  std::uint64_t pending_points = 0;
+  auto read_pending = [&] {
+    PrefetchPilots(pending);
+    for (const auto& [t, rec] : pending) {
+      ++st.pilots_read;
+      for (const Point& p : PilotRead(rec)) {
+        if (p.x >= x1 && p.x <= x2 && p.score > kth) {
+          cand.push_back(p);
+          ++st.candidates;
+        }
+      }
     }
-    // Children in script-T.
+    pending.clear();
+    pending_points = 0;
+  };
+
+  offer(RootTRef());
+  while (!frontier.empty()) {
+    if (cand.size() >= k) {
+      if (sorted < cand.size()) {
+        merge(k);
+        kth = cand[k - 1].score;
+      }
+      if (nodes[frontier.front()].second.pmax() < kth) break;
+    }
+    std::pop_heap(frontier.begin(), frontier.end(), lower_pmax);
+    const std::size_t top = frontier.back();
+    frontier.pop_back();
+    const auto [t, rec] = nodes[top];
     if (rec.is_slab()) {
       TRef c = SlabChild(rec);
-      if (c.valid()) maybe_emit_ref(c, /*require_cover=*/false);
+      if (c.valid()) offer(c);
     } else {
-      maybe_emit_ref(TRef{t.base, static_cast<TIndex>(rec.left)},
-                     /*require_cover=*/false);
-      maybe_emit_ref(TRef{t.base, static_cast<TIndex>(rec.right)},
-                     /*require_cover=*/false);
+      offer(TRef{t.base, static_cast<TIndex>(rec.left)});
+      offer(TRef{t.base, static_cast<TIndex>(rec.right)});
     }
+    pending.emplace_back(t, rec);
+    pending_points += rec.pilot_count;
+    if (cand.size() + pending_points >= k) read_pending();
   }
-
-  // ---- final top-k over the candidate pool -----------------------------
-  std::size_t take = std::min<std::size_t>(k, cand.size());
-  std::nth_element(cand.begin(), cand.begin() + take, cand.end(),
-                   ByScoreDesc{});
-  cand.resize(take);
-  std::sort(cand.begin(), cand.end(), ByScoreDesc{});
+  read_pending();
+  merge(k);
   return cand;
 }
 

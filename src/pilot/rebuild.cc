@@ -266,14 +266,12 @@ PilotPst PilotPst::Build(em::Pager* pager, std::vector<Point> points,
   std::uint32_t a = options.branch != 0 ? options.branch
                                         : std::max<std::uint32_t>(4, pager->B() / 16);
   std::uint32_t b = options.leaf_cap != 0 ? options.leaf_cap : pager->B();
-  TOKRA_CHECK(options.phi >= 1);
 
   em::BlockId meta = pager->Allocate();
   {
     em::PageRef mp = pager->Create(meta);
     mp.Set(kMBranch, a);
     mp.Set(kMLeafCap, b);
-    mp.Set(kMPhi, options.phi);
   }
   PilotPst pst(pager, meta);
 
@@ -470,7 +468,6 @@ void PilotPst::GlobalRebuild() {
   CollectPilots(RootTRef(), &live);
   FreeSubtree(MetaGet(kMRoot));
   Options options;
-  options.phi = static_cast<std::uint32_t>(MetaGet(kMPhi));
   options.branch = branch();
   options.leaf_cap = leaf_cap();
   em::BlockId old_meta = meta_;

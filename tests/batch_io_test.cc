@@ -468,9 +468,17 @@ TEST(BackendParityTest, IdenticalIoCountsAndOracleResults) {
   Rng rng(77);
   auto points = MakePoints(&rng, kN);
 
+  // One query in four asks for k at or above the index's pilot cutoff, so
+  // the pilot PST's own top-k runs on every backend too.
+  auto draw_k = [](Rng* r, int i, std::uint64_t cutoff) -> std::uint64_t {
+    return i % 4 == 3 ? cutoff + r->Uniform(2 * cutoff) : 1 + r->Uniform(200);
+  };
+
   struct RunOut {
     em::IoStats build, query;
     std::vector<std::vector<Point>> results;
+    std::uint64_t cutoff = 0;
+    int pilot_queries = 0;
   };
   auto run = [&](em::Backend backend, const std::string& path,
                  std::uint32_t qd, bool reg = false) {
@@ -485,15 +493,18 @@ TEST(BackendParityTest, IdenticalIoCountsAndOracleResults) {
     TOKRA_CHECK(built.ok());
     pager.FlushAll();
     out.build = pager.stats();
+    out.cutoff = (*built)->PilotCutoff();
     Rng qrng(78);
     em::IoStats before = pager.stats();
     for (int i = 0; i < kQueries; ++i) {
       pager.DropCache();  // cold: every touched block is a real transfer
       double a = qrng.UniformDouble(0.0, 1e6);
       double b = qrng.UniformDouble(0.0, 1e6);
-      std::uint64_t k = 1 + qrng.Uniform(200);
-      auto r = (*built)->TopK(std::min(a, b), std::max(a, b), k);
+      std::uint64_t k = draw_k(&qrng, i, out.cutoff);
+      core::TopkQueryStats qs;
+      auto r = (*built)->TopK(std::min(a, b), std::max(a, b), k, &qs);
       TOKRA_CHECK(r.ok());
+      if (qs.path == core::QueryPath::kPilotDirect) ++out.pilot_queries;
       out.results.push_back(std::move(*r));
     }
     out.query = pager.stats() - before;
@@ -519,18 +530,21 @@ TEST(BackendParityTest, IdenticalIoCountsAndOracleResults) {
     EXPECT_EQ(mem.query.pool_hits, other->query.pool_hits);
     EXPECT_EQ(mem.query.pool_misses, other->query.pool_misses);
     EXPECT_EQ(mem.query.prefetched, other->query.prefetched);
+    EXPECT_EQ(mem.pilot_queries, other->pilot_queries);
     ASSERT_EQ(mem.results.size(), other->results.size());
     for (std::size_t i = 0; i < mem.results.size(); ++i) {
       EXPECT_EQ(mem.results[i], other->results[i]) << "query " << i;
     }
   }
 
+  EXPECT_GE(mem.pilot_queries, kQueries / 4);
+
   // And the shared answers are right: check against the oracle.
   Rng qrng(78);
   for (int i = 0; i < kQueries; ++i) {
     double a = qrng.UniformDouble(0.0, 1e6);
     double b = qrng.UniformDouble(0.0, 1e6);
-    std::uint64_t k = 1 + qrng.Uniform(200);
+    std::uint64_t k = draw_k(&qrng, i, mem.cutoff);
     auto expect =
         internal::NaiveTopK(points, std::min(a, b), std::max(a, b), k);
     EXPECT_EQ(mem.results[i], expect) << "query " << i;

@@ -227,12 +227,96 @@ TEST(PilotPstTest, QueryStatsPopulated) {
   QueryStats stats;
   auto got = pst.TopK(100, 900, 50, &stats);
   ASSERT_TRUE(got.ok());
-  EXPECT_GT(stats.q1_points + stats.q2_points + stats.q3_points, 0u);
-  EXPECT_GT(stats.reps_selected, 0u);
-  // Candidate volume O(B lg n + k) (Lemma 2's accounting).
+  EXPECT_GE(stats.candidates, got->size());
+  EXPECT_GT(stats.pilots_read, 0u);
+  EXPECT_GE(stats.nodes_visited, stats.pilots_read);
+  // Candidate volume O(B lg n + k): at most 2B points per pilot read.
   std::uint64_t bound =
       64 * (Lg(2000) + 2) * 64;  // generous constant * (lg n + k/B) * B
-  EXPECT_LE(stats.q1_points + stats.q2_points + stats.q3_points, bound);
+  EXPECT_LE(stats.candidates, bound);
+  EXPECT_LE(stats.candidates, 2 * 64 * stats.pilots_read);
+}
+
+TEST(PilotPstTest, TopKEdgeCasesMatchOracle) {
+  em::Pager pager(Opts(64));
+  Rng rng(31);
+  std::vector<Point> live = RandomPoints(&rng, 3000);
+  PilotPst pst = PilotPst::Build(&pager, live);
+  auto check = [&](double x1, double x2, std::uint64_t k) {
+    auto got = pst.TopK(x1, x2, k);
+    ASSERT_TRUE(got.ok());
+    ExpectTopKEqual(*got, internal::NaiveTopK(live, x1, x2, k));
+  };
+  auto check_all = [&] {
+    const std::uint64_t n = live.size();
+    check(400, 410, 500);       // k above the range population
+    check(-1e9, 1e9, n + 7);    // k > n
+    check(-1e9, 1e9, n);        // k == n
+    check(1e4, 2e4, 5);         // empty range right of every point
+    check(-20, -10, 5);         // empty range left of every point
+    const Point& p = live[rng.Uniform(live.size())];
+    check(p.x, p.x, 3);         // x1 == x2 on a stored point
+    check(p.x, p.x + 1e-9, 1);
+    for (int probe = 0; probe < 20; ++probe) {
+      double a = rng.UniformDouble(-50, 1050);
+      double b = rng.UniformDouble(-50, 1050);
+      check(std::min(a, b), std::max(a, b), 1 + rng.Uniform(2 * n));
+    }
+    // Many short and mid-width queries: these reach covered children of
+    // boundary-path nodes while k candidates are already held, the case
+    // where a child must be pruned by its max score and not its rep.
+    for (int probe = 0; probe < 2000; ++probe) {
+      double a = rng.UniformDouble(-5, 1005);
+      double w = rng.UniformDouble(0, probe % 2 == 1 ? 30 : 600);
+      check(a, a + w, 1 + rng.Uniform(probe % 3 == 0 ? 8 : 200));
+    }
+  };
+  check_all();
+
+  // Heavy deletes: pilots underflow, pull-ups drain them, and deleting
+  // past half the keys forces global rebuilds.
+  rng.Shuffle(&live);
+  while (live.size() > 300) {
+    ASSERT_TRUE(pst.Delete(live.back()).ok());
+    live.pop_back();
+    if (live.size() % 700 == 0) check_all();
+  }
+  pst.CheckInvariants();
+  check_all();
+
+  // Sorted inserts: one subtree takes every key, forcing partial rebuilds.
+  auto scores = rng.DistinctDoubles(2000, 1.0, 2.0);  // above every live score
+  for (int i = 0; i < 2000; ++i) {
+    Point p{1000.0 + i, scores[i]};
+    ASSERT_TRUE(pst.Insert(p).ok());
+    live.push_back(p);
+  }
+  pst.CheckInvariants();
+  check_all();
+  check(1500, 2500, 100);
+  check(900, 1100, 4000);
+}
+
+TEST(PilotPstTest, TopKColdIosTrackOutput) {
+  // Cold-cache query I/Os stay within c * (lg n + k/B) from k = 1 to k = n,
+  // on narrow and wide ranges.
+  constexpr std::uint32_t kB = 128;
+  constexpr std::uint64_t kC = 6;
+  const std::size_t n = 1u << 14;
+  em::Pager pager(Opts(kB, 64));
+  Rng rng(37);
+  PilotPst pst = PilotPst::Build(&pager, RandomPoints(&rng, n));
+  for (std::uint64_t k = 1; k <= n; k *= 2) {
+    for (auto [x1, x2] : {std::pair{400.0, 410.0}, std::pair{100.0, 900.0},
+                          std::pair{-1.0, 1001.0}}) {
+      pager.DropCache();
+      em::IoStats before = pager.stats();
+      ASSERT_TRUE(pst.TopK(x1, x2, k).ok());
+      std::uint64_t ios = (pager.stats() - before).TotalIos();
+      EXPECT_LE(ios, kC * (Lg(n) + CeilDiv(k, kB)))
+          << "k=" << k << " range=[" << x1 << ", " << x2 << "]";
+    }
+  }
 }
 
 TEST(PilotPstTest, UpdateCostLogarithmicBaseB) {

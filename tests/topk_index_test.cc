@@ -147,6 +147,65 @@ TEST(TopkIndexTest, DispatchPaths) {
   EXPECT_EQ(large_stats.path, QueryPath::kPilotDirect);
 }
 
+TEST(TopkIndexTest, CutoffBoundaryMatchesOracle) {
+  // k = cutoff - 1, cutoff and cutoff + 1 straddle the switch from the
+  // threshold path to the pilot PST's own top-k; updates between rounds
+  // move n and with it the cutoff.
+  for (auto selector : {TopkIndex::Options::Selector::kSt12,
+                        TopkIndex::Options::Selector::kLemma4}) {
+    em::Pager pager(Opts());
+    Rng rng(13);
+    std::vector<Point> live = RandomPoints(&rng, 3000);
+    TopkIndex::Options options;
+    options.selector = selector;
+    auto built = TopkIndex::Build(&pager, live, options);
+    ASSERT_TRUE(built.ok());
+    auto& idx = *built;
+    std::set<double> used_x, used_s;
+    for (const Point& p : live) {
+      used_x.insert(p.x);
+      used_s.insert(p.score);
+    }
+    for (int round = 0; round < 6; ++round) {
+      for (int op = 0; op < 150; ++op) {
+        if (rng.Bernoulli(round % 2 == 0 ? 0.8 : 0.2)) {
+          double x, sc;
+          do {
+            x = rng.UniformDouble(0, 1000);
+          } while (!used_x.insert(x).second);
+          do {
+            sc = rng.UniformDouble(0, 1);
+          } while (!used_s.insert(sc).second);
+          ASSERT_TRUE(idx->Insert({x, sc}).ok());
+          live.push_back({x, sc});
+        } else {
+          std::size_t pick = rng.Uniform(live.size());
+          ASSERT_TRUE(idx->Delete(live[pick]).ok());
+          live.erase(live.begin() + pick);
+        }
+      }
+      const std::uint64_t cutoff = idx->PilotCutoff();
+      ASSERT_GT(cutoff, 1u);
+      for (int probe = 0; probe < 4; ++probe) {
+        double a = rng.UniformDouble(-10, 1010);
+        double b = rng.UniformDouble(-10, 1010);
+        double x1 = probe == 0 ? -10 : std::min(a, b);
+        double x2 = probe == 0 ? 1010 : std::max(a, b);
+        for (std::uint64_t k : {cutoff - 1, cutoff, cutoff + 1}) {
+          TopkQueryStats stats;
+          auto got = idx->TopK(x1, x2, k, &stats);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ExpectTopKEqual(*got, internal::NaiveTopK(live, x1, x2, k));
+          if (k >= cutoff) {
+            EXPECT_EQ(stats.path, QueryPath::kPilotDirect);
+          }
+        }
+      }
+    }
+    idx->CheckInvariants();
+  }
+}
+
 TEST(TopkIndexTest, DestroyReleasesBlocks) {
   em::Pager pager(Opts());
   std::uint64_t base = pager.BlocksInUse();
