@@ -1,33 +1,20 @@
 #include "core/topk_index.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <set>
-
-#include "util/bits.h"
-#include "util/check.h"
 
 namespace tokra::core {
 namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Meta block layout. Words 4-7 persist the full build-time Options so an
-// Open()ed index carries the exact configuration it was built with (the
-// superblock floor guarantees >= em::kSuperblockHeaderWords = 14 words).
+// Meta block layout. Words 1 and 3-7 are reserved and unread: files written
+// by older builds hold the selector kind, the selector's meta block and the
+// build-time selector options there. Those selector blocks stay allocated
+// and unreachable (DESIGN.md §5.2).
 constexpr em::word_t kMetaMagic = 0x544F4B52544F504BULL;  // "TOKRTOPK"
 constexpr std::size_t kWMagic = 0;
-constexpr std::size_t kWUseLemma4 = 1;
 constexpr std::size_t kWPilotMeta = 2;
-constexpr std::size_t kWSelectorMeta = 3;
-constexpr std::size_t kWSelectorOption = 4;  // configured Options::Selector
-constexpr std::size_t kWLemma4Fanout = 5;
-constexpr std::size_t kWLemma4L = 6;
-constexpr std::size_t kWLemma4LeafCap = 7;
 }  // namespace
 
 StatusOr<std::unique_ptr<TopkIndex>> TopkIndex::Build(
-    em::Pager* pager, std::vector<Point> points, Options options) {
+    em::Pager* pager, std::vector<Point> points) {
   // Enforce the distinctness assumption up front.
   {
     std::set<double> xs, ss;
@@ -40,35 +27,9 @@ StatusOr<std::unique_ptr<TopkIndex>> TopkIndex::Build(
       }
     }
   }
-  auto idx = std::unique_ptr<TopkIndex>(new TopkIndex(pager, options));
-
-  // Section 1.2 regime rule: the ST12 component already achieves
-  // logarithmic updates when lg n <= B^(1/6); otherwise (B < lg^6 n) the
-  // Lemma 4 structure takes over for the small-k thresholds.
-  std::uint64_t n = std::max<std::uint64_t>(points.size(), 2);
-  double b16 = std::pow(static_cast<double>(pager->B()), 1.0 / 6.0);
-  switch (options.selector) {
-    case Options::Selector::kSt12:
-      idx->use_lemma4_ = false;
-      break;
-    case Options::Selector::kLemma4:
-      idx->use_lemma4_ = true;
-      break;
-    case Options::Selector::kAuto:
-      idx->use_lemma4_ = static_cast<double>(Lg(n)) > b16;
-      break;
-  }
-
+  auto idx = std::unique_ptr<TopkIndex>(new TopkIndex(pager));
   idx->pilot_ = std::make_unique<pilot::PilotPst>(
-      pilot::PilotPst::Build(pager, points));
-  if (idx->use_lemma4_) {
-    idx->lemma4_ = std::make_unique<lemma4::Lemma4Selector>(
-        lemma4::Lemma4Selector::Build(pager, points,
-                                      options.lemma4_params));
-  } else {
-    idx->st12_ = std::make_unique<st12::ShengTaoSelector>(
-        st12::ShengTaoSelector::Build(pager, points));
-  }
+      pilot::PilotPst::Build(pager, std::move(points)));
   idx->meta_ = pager->Allocate();
   idx->WriteMeta();
   return idx;
@@ -77,18 +38,11 @@ StatusOr<std::unique_ptr<TopkIndex>> TopkIndex::Build(
 void TopkIndex::WriteMeta() {
   em::PageRef mp = pager_->Create(meta_);
   mp.Set(kWMagic, kMetaMagic);
-  mp.Set(kWUseLemma4, use_lemma4_ ? 1 : 0);
   mp.Set(kWPilotMeta, pilot_->meta_block());
-  mp.Set(kWSelectorMeta,
-         use_lemma4_ ? lemma4_->meta_block() : st12_->meta_block());
-  mp.Set(kWSelectorOption, static_cast<em::word_t>(options_.selector));
-  mp.Set(kWLemma4Fanout, options_.lemma4_params.fanout);
-  mp.Set(kWLemma4L, options_.lemma4_params.l);
-  mp.Set(kWLemma4LeafCap, options_.lemma4_params.leaf_cap);
 }
 
 Status TopkIndex::Checkpoint(std::span<const std::uint64_t> extra_roots) {
-  // Component meta-block ids are stable across updates and rebuilds, but
+  // The pilot meta-block id is stable across updates and rebuilds, but
   // rewrite ours anyway: it is one pool write and guards against drift.
   WriteMeta();
   std::vector<std::uint64_t> roots;
@@ -102,156 +56,33 @@ StatusOr<std::unique_ptr<TopkIndex>> TopkIndex::Open(em::Pager* pager) {
   if (pager->roots().empty()) {
     return Status::FailedPrecondition("pager has no checkpoint roots");
   }
-  em::BlockId meta = pager->roots()[0];
-  Options options;
-  auto idx = std::unique_ptr<TopkIndex>(new TopkIndex(pager, options));
-  idx->meta_ = meta;
-  em::BlockId pilot_meta, selector_meta;
+  auto idx = std::unique_ptr<TopkIndex>(new TopkIndex(pager));
+  idx->meta_ = pager->roots()[0];
+  em::BlockId pilot_meta;
   {
-    em::PageRef mp = pager->Fetch(meta);
+    em::PageRef mp = pager->Fetch(idx->meta_);
     if (mp.Get(kWMagic) != kMetaMagic) {
       return Status::FailedPrecondition("bad TopkIndex meta block");
     }
-    idx->use_lemma4_ = mp.Get(kWUseLemma4) != 0;
     pilot_meta = mp.Get(kWPilotMeta);
-    selector_meta = mp.Get(kWSelectorMeta);
-    // Restore the full build-time Options, not just the selector decision:
-    // a future query-time Options consumer must see the same configuration
-    // before and after recovery.
-    const em::word_t sel = mp.Get(kWSelectorOption);
-    if (sel > static_cast<em::word_t>(Options::Selector::kLemma4)) {
-      return Status::FailedPrecondition("bad selector option in meta block");
-    }
-    idx->options_.selector = static_cast<Options::Selector>(sel);
-    idx->options_.lemma4_params.fanout =
-        static_cast<std::uint32_t>(mp.Get(kWLemma4Fanout));
-    idx->options_.lemma4_params.l =
-        static_cast<std::uint32_t>(mp.Get(kWLemma4L));
-    idx->options_.lemma4_params.leaf_cap =
-        static_cast<std::uint32_t>(mp.Get(kWLemma4LeafCap));
   }
   idx->pilot_ = std::make_unique<pilot::PilotPst>(
       pilot::PilotPst::Open(pager, pilot_meta));
-  if (idx->use_lemma4_) {
-    idx->lemma4_ = std::make_unique<lemma4::Lemma4Selector>(
-        lemma4::Lemma4Selector::Open(pager, selector_meta));
-  } else {
-    idx->st12_ = std::make_unique<st12::ShengTaoSelector>(
-        st12::ShengTaoSelector::Open(pager, selector_meta));
-  }
   return idx;
-}
-
-std::uint64_t TopkIndex::PilotCutoff() const {
-  std::uint64_t n = std::max<std::uint64_t>(pilot_->size(), 2);
-  std::uint64_t cutoff =
-      static_cast<std::uint64_t>(pager_->B()) * Lg(n);
-  if (use_lemma4_) {
-    // Lemma 4 supports thresholds only up to its l parameter.
-    cutoff = std::min<std::uint64_t>(cutoff, lemma4_->l());
-  }
-  return cutoff;
-}
-
-Status TopkIndex::Insert(const Point& p) {
-  TOKRA_RETURN_IF_ERROR(pilot_->Insert(p));
-  if (use_lemma4_) return lemma4_->Insert(p);
-  return st12_->Insert(p);
-}
-
-Status TopkIndex::Delete(const Point& p) {
-  TOKRA_RETURN_IF_ERROR(pilot_->Delete(p));
-  if (use_lemma4_) return lemma4_->Delete(p);
-  return st12_->Delete(p);
 }
 
 StatusOr<std::vector<Point>> TopkIndex::TopK(double x1, double x2,
                                              std::uint64_t k,
                                              TopkQueryStats* stats) const {
-  if (x1 > x2) return Status::InvalidArgument("x1 > x2");
-  if (k == 0) return std::vector<Point>{};
-
-  // Large k: the pilot PST answers directly at O(k/B).
-  if (k >= PilotCutoff()) {
-    if (stats != nullptr) stats->path = QueryPath::kPilotDirect;
-    return pilot_->TopK(x1, x2, k);
-  }
-  if (stats != nullptr) {
-    stats->path = use_lemma4_ ? QueryPath::kLemma4Threshold
-                              : QueryPath::kSt12Threshold;
-  }
-
-  // Approximate range k-selection -> threshold -> 3-sided report -> select.
-  // The retry loop covers the case where the approximate threshold
-  // under-delivers; each retry doubles the requested rank, capped by the
-  // large-k path. Starting the ask below k exploits the selectors' one-sided
-  // slack (returned rank >= ask): the loop converges geometrically onto a
-  // tight threshold, keeping the reported candidate volume O(k) even when
-  // the selector's approximation constant is large.
-  std::uint64_t ask = std::max<std::uint64_t>(1, k / 4);
-  for (std::uint32_t attempt = 0; attempt < 8; ++attempt) {
-    StatusOr<double> thr =
-        use_lemma4_ && ask <= lemma4_->l()
-            ? lemma4_->SelectApprox(x1, x2, ask)
-            : !use_lemma4_
-                  ? st12_->SelectApprox(x1, x2, ask)
-                  : StatusOr<double>(Status::OutOfRange("beyond l"));
-    double y;
-    if (!thr.ok()) {
-      if (thr.status().code() == StatusCode::kOutOfRange) {
-        // k exceeds the range population (or the selector's l): everything
-        // in range qualifies.
-        y = -kInf;
-      } else {
-        return thr.status();
-      }
-    } else {
-      y = *thr;
-    }
-    std::vector<Point> cand;
-    TOKRA_RETURN_IF_ERROR(pilot_->Report3Sided(x1, x2, y, &cand));
-    if (stats != nullptr) {
-      stats->reported_candidates = cand.size();
-      stats->threshold_retries = attempt;
-    }
-    if (cand.size() >= k || y == -kInf) {
-      std::size_t take = std::min<std::size_t>(k, cand.size());
-      std::nth_element(cand.begin(), cand.begin() + take, cand.end(),
-                       ByScoreDesc{});
-      cand.resize(take);
-      std::sort(cand.begin(), cand.end(), ByScoreDesc{});
-      return cand;
-    }
-    ask *= 2;
-    if (ask >= PilotCutoff()) {
-      if (stats != nullptr) stats->path = QueryPath::kPilotDirect;
-      return pilot_->TopK(x1, x2, k);
-    }
-  }
-  return Status::Internal("threshold retries exhausted");
+  if (stats != nullptr) *stats = TopkQueryStats{};
+  return pilot_->TopK(x1, x2, k);
 }
 
 void TopkIndex::DestroyAll() {
   pilot_->DestroyAll();
-  if (use_lemma4_) {
-    lemma4_->DestroyAll();
-  } else {
-    st12_->DestroyAll();
-  }
   if (meta_ != em::kNullBlock) {
     pager_->Free(meta_);
     meta_ = em::kNullBlock;
-  }
-}
-
-void TopkIndex::CheckInvariants() const {
-  pilot_->CheckInvariants();
-  if (use_lemma4_) {
-    lemma4_->CheckInvariants();
-    TOKRA_CHECK_EQ(lemma4_->size(), pilot_->size());
-  } else {
-    st12_->CheckInvariants();
-    TOKRA_CHECK_EQ(st12_->size(), pilot_->size());
   }
 }
 

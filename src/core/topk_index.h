@@ -2,26 +2,20 @@
 //
 //   space O(n/B); query O(lg n + k/B) I/Os; updates O(lg_B n) amortized.
 //
-// (The paper claims query O(lg_B n + k/B); our reduction reuses the Lemma 1
-// structure for 3-sided reporting instead of a bootstrapped ASV tree, which
-// costs O(lg n + k/B) — identical k/B term, base-2 instead of base-B
-// logarithm in the additive term. The *update* bound, the paper's headline
-// improvement over [14], is reproduced exactly. See DESIGN.md.)
+// TopkIndex is a thin wrapper over one Lemma 1 pilot PST, which answers
+// every k by an exact best-first descent of script-T by max pilot score
+// (pilot/query.cc). The paper's Section 1.2 composition — an approximate
+// range k-selection (ST12 or Lemma 4) supplying a score threshold, then
+// 3-sided reporting above it, then a final selection — cannot read fewer
+// blocks here: with the pilot PST standing in for the ASV tree, the descent
+// pops only nodes that Report3Sided visits for any threshold y <= s_k, the
+// true k-th score (DESIGN.md §2). That composition is measured as the
+// control leg of experiments E9 and E11; the selectors themselves live on
+// in lemma4/ and st12/ with their own tests and benches (E2, E4-E6, E8).
 //
-// Composition per Section 1.2:
-//   * k >= B lg n            -> the Lemma 1 pilot PST answers directly by a
-//                               best-first descent of script-T by max pilot
-//                               score (its O(lg n + k/B) = O(k/B) here);
-//   * k <  B lg n, lg n <= B^(1/6) -> ST12 selector provides a k-threshold
-//                               (its update cost is O(lg_B n) in this regime);
-//   * k <  B lg n, B < lg^6 n -> the Lemma 4 structure provides the
-//                               threshold (k < B lg n < lg^7 n = polylg n);
-//   then 3-sided reporting above the threshold + an O(k'/B) selection.
-//
-// TopkIndex maintains all components under one update path and exposes the
-// dispatch for experiment E9. A retry loop doubles the threshold rank if the
-// approximate selection under-delivers (robustness net for the documented
-// constant-factor relaxations).
+// (The paper claims query O(lg_B n + k/B); the pilot PST costs
+// O(lg n + k/B) — identical k/B term, base-2 instead of base-B logarithm in
+// the additive term. The update bound is reproduced exactly. See DESIGN.md.)
 
 #ifndef TOKRA_CORE_TOPK_INDEX_H_
 #define TOKRA_CORE_TOPK_INDEX_H_
@@ -32,44 +26,32 @@
 #include <vector>
 
 #include "em/pager.h"
-#include "lemma4/structure.h"
 #include "pilot/pilot_pst.h"
-#include "st12/selector.h"
 #include "util/point.h"
 #include "util/status.h"
 
 namespace tokra::core {
 
-/// Which component answered a query (experiment E9).
+/// Which component answered a query. Every query answers on kPilotDirect;
+/// kLemma4Threshold is never reported and kept only so existing stats
+/// consumers still compile.
 enum class QueryPath {
-  kPilotDirect,     ///< k >= B lg n: Lemma 1 structure alone
-  kSt12Threshold,   ///< threshold from the ST12 selector
-  kLemma4Threshold  ///< threshold from the Lemma 4 structure
+  kPilotDirect,     ///< the Lemma 1 structure's best-first descent
+  kLemma4Threshold  ///< never reported
 };
 
 struct TopkQueryStats {
-  QueryPath path = QueryPath::kPilotDirect;
-  std::uint32_t threshold_retries = 0;
-  std::uint64_t reported_candidates = 0;
+  QueryPath path = QueryPath::kPilotDirect;  ///< always kPilotDirect
+  std::uint32_t threshold_retries = 0;       ///< always 0
+  std::uint64_t reported_candidates = 0;     ///< always 0
 };
 
 class TopkIndex {
  public:
-  struct Options {
-    /// Force a selector for benches; kAuto applies the Section 1.2 rule.
-    enum class Selector { kAuto, kSt12, kLemma4 } selector = Selector::kAuto;
-    /// Parameters forwarded to the Lemma 4 structure (0 = derive).
-    lemma4::Lemma4Selector::Params lemma4_params;
-  };
-
   /// Builds the index over the initial point set (distinct x, distinct
   /// scores — the paper's standard assumption, enforced here).
-  static StatusOr<std::unique_ptr<TopkIndex>> Build(
-      em::Pager* pager, std::vector<Point> points, Options options);
-  static StatusOr<std::unique_ptr<TopkIndex>> Build(
-      em::Pager* pager, std::vector<Point> points) {
-    return Build(pager, std::move(points), Options());
-  }
+  static StatusOr<std::unique_ptr<TopkIndex>> Build(em::Pager* pager,
+                                                    std::vector<Point> points);
 
   /// Reopens the index recorded by the last Checkpoint() on `pager` (which
   /// must come from em::Pager::Open): no rebuild, O(1) I/Os.
@@ -82,46 +64,33 @@ class TopkIndex {
   Status Checkpoint(std::span<const std::uint64_t> extra_roots = {});
 
   std::uint64_t size() const { return pilot_->size(); }
-  QueryPath SelectorKind() const {
-    return use_lemma4_ ? QueryPath::kLemma4Threshold
-                       : QueryPath::kSt12Threshold;
-  }
 
   /// Inserts p. O(lg_B n) I/Os amortized.
-  Status Insert(const Point& p);
+  Status Insert(const Point& p) { return pilot_->Insert(p); }
 
   /// Deletes p (x and score must match). O(lg_B n) I/Os amortized.
-  Status Delete(const Point& p);
+  Status Delete(const Point& p) { return pilot_->Delete(p); }
 
   /// The k highest-scored points with x in [x1, x2], score-descending; all
-  /// of S ∩ [x1,x2] if it has fewer than k points.
+  /// of S ∩ [x1,x2] if it has fewer than k points. O(lg n + k/B) I/Os.
   StatusOr<std::vector<Point>> TopK(double x1, double x2, std::uint64_t k,
                                     TopkQueryStats* stats = nullptr) const;
-
-  /// k at or above this goes straight to the pilot PST (B lg n rule, capped
-  /// by the Lemma 4 structure's l when it is the selector).
-  std::uint64_t PilotCutoff() const;
 
   /// Frees every block.
   void DestroyAll();
 
-  /// Validates every component. O(n).
-  void CheckInvariants() const;
+  /// Validates the pilot PST. O(n).
+  void CheckInvariants() const { pilot_->CheckInvariants(); }
 
  private:
-  TopkIndex(em::Pager* pager, Options options) : pager_(pager),
-                                                 options_(options) {}
+  explicit TopkIndex(em::Pager* pager) : pager_(pager) {}
 
-  /// (Re)writes the meta block linking the component structures.
+  /// (Re)writes the meta block linking the pilot PST.
   void WriteMeta();
 
   em::Pager* pager_;
-  Options options_;
   em::BlockId meta_ = em::kNullBlock;
-  bool use_lemma4_ = false;
   std::unique_ptr<pilot::PilotPst> pilot_;
-  std::unique_ptr<st12::ShengTaoSelector> st12_;
-  std::unique_ptr<lemma4::Lemma4Selector> lemma4_;
 };
 
 }  // namespace tokra::core

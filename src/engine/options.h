@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/topk_index.h"
 #include "em/options.h"
 #include "util/check.h"
 
@@ -178,9 +177,6 @@ struct EngineOptions {
   /// Fence-based query pruning (on by default; results are identical with
   /// it off, only the fan-out cost changes).
   PruningOptions pruning;
-
-  /// Forwarded to every shard's TopkIndex.
-  core::TopkIndex::Options index;
 
   /// MaybeRebalance() triggers when the largest shard exceeds this multiple
   /// of the average shard size (and rebalance_min_points is met).

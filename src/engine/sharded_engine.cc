@@ -427,8 +427,8 @@ Status ShardedTopkEngine::BuildShardsLocked(std::vector<Point> points) {
       shard->fence = sketch::ShardFence::Build(chunks[i], {});
       shard->has_fence = true;
     }
-    auto idx = core::TopkIndex::Build(shard->pager.get(),
-                                      std::move(chunks[i]), options_.index);
+    auto idx =
+        core::TopkIndex::Build(shard->pager.get(), std::move(chunks[i]));
     if (!idx.ok()) {
       discard_side_files();
       return idx.status();

@@ -32,6 +32,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
 #include <mutex>
 #include <shared_mutex>
 #include <span>
@@ -485,8 +486,15 @@ class ShardedTopkEngine {
   bool storage_failed_ = false;
 
   mutable std::mutex registry_mu_;
-  std::unordered_map<double, double> by_x_;  // x -> score, exact membership
-  std::unordered_set<double> scores_;
+  // The registry's nodes come from one engine-owned pool, which recycles a
+  // deleted point's node for the next insert. With the default allocator
+  // every insert allocates its node on whichever engine thread applied it,
+  // and a delete frees it to that thread's malloc arena: under churn the
+  // registry slowly migrates across per-thread arenas, each keeping the
+  // space the others freed. Guarded by registry_mu_, like the maps.
+  std::pmr::unsynchronized_pool_resource registry_pool_;
+  std::pmr::unordered_map<double, double> by_x_{&registry_pool_};  // x -> score
+  std::pmr::unordered_set<double> scores_{&registry_pool_};
 
   mutable ThreadPool pool_;
 

@@ -19,6 +19,7 @@
 #include "em/uring_block_device.h"
 #include "engine/sharded_engine.h"
 #include "internal/naive.h"
+#include "util/bits.h"
 #include "util/point.h"
 #include "util/random.h"
 
@@ -468,8 +469,8 @@ TEST(BackendParityTest, IdenticalIoCountsAndOracleResults) {
   Rng rng(77);
   auto points = MakePoints(&rng, kN);
 
-  // One query in four asks for k at or above the index's pilot cutoff, so
-  // the pilot PST's own top-k runs on every backend too.
+  // One query in four asks for k at or above B lg n, the Section 1.2
+  // pilot cutoff, so the descent's large-k reads run on every backend too.
   auto draw_k = [](Rng* r, int i, std::uint64_t cutoff) -> std::uint64_t {
     return i % 4 == 3 ? cutoff + r->Uniform(2 * cutoff) : 1 + r->Uniform(200);
   };
@@ -493,7 +494,7 @@ TEST(BackendParityTest, IdenticalIoCountsAndOracleResults) {
     TOKRA_CHECK(built.ok());
     pager.FlushAll();
     out.build = pager.stats();
-    out.cutoff = (*built)->PilotCutoff();
+    out.cutoff = std::uint64_t{pager.B()} * Lg(kN);
     Rng qrng(78);
     em::IoStats before = pager.stats();
     for (int i = 0; i < kQueries; ++i) {

@@ -20,6 +20,7 @@
 #include "em/wal.h"
 #include "engine/sharded_engine.h"
 #include "internal/naive.h"
+#include "lemma4/structure.h"
 #include "util/point.h"
 #include "util/random.h"
 
@@ -309,6 +310,58 @@ TEST(TopkIndexPersistenceTest, CheckpointReopenAnswersIdentically) {
   ASSERT_TRUE(idx2.ok());
   EXPECT_EQ((*idx2)->size(), points.size() + extra.size());
   (*idx2)->CheckInvariants();
+}
+
+// Files written while TopkIndex still composed a selector carry it in meta
+// words 1 and 3-7 (kind, meta block, build options). Such a file must still
+// open and serve from the pilot PST; the selector's blocks stay allocated.
+TEST(TopkIndexPersistenceTest, OpensFilesWrittenWithASelector) {
+  TempDir dir("topk-selector");
+  em::EmOptions opts{.block_words = 64,
+                     .pool_frames = 32,
+                     .backend = em::Backend::kFile,
+                     .path = dir.File("index.blk")};
+  Rng rng(9);
+  auto points = MakePoints(&rng, 1500);
+  std::uint64_t blocks_in_use = 0;
+  {
+    em::Pager pager(opts);
+    auto built = core::TopkIndex::Build(&pager, points);
+    ASSERT_TRUE(built.ok());
+    const lemma4::Lemma4Selector::Params params{.fanout = 4, .l = 64,
+                                                .leaf_cap = 512};
+    auto sel = lemma4::Lemma4Selector::Build(&pager, points, params);
+    ASSERT_TRUE((*built)->Checkpoint().ok());
+    // Rewrite the meta block as an older build left it, then re-commit.
+    const std::vector<std::uint64_t> roots = pager.roots();
+    {
+      em::PageRef mp = pager.Fetch(roots[0]);
+      mp.Set(1, 1);  // selector kind: Lemma 4
+      mp.Set(3, sel.meta_block());
+      mp.Set(4, 2);  // build option: Lemma 4 forced
+      mp.Set(5, params.fanout);
+      mp.Set(6, params.l);
+      mp.Set(7, params.leaf_cap);
+    }
+    ASSERT_TRUE(pager.Checkpoint(roots).ok());
+    blocks_in_use = pager.BlocksInUse();
+  }
+
+  auto reopened = em::Pager::Open(opts);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto opened = core::TopkIndex::Open(reopened->get());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto& idx = *opened;
+  EXPECT_EQ(idx->size(), points.size());
+  EXPECT_EQ((*reopened)->BlocksInUse(), blocks_in_use);
+  for (const Query& q : MakeQueries(&rng, 500)) {
+    auto r = idx->TopK(q.x1, q.x2, q.k);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, internal::NaiveTopK(points, q.x1, q.x2, q.k));
+  }
+  idx->CheckInvariants();
+  ASSERT_TRUE(idx->Insert(Point{5e6, 7.0}).ok());
+  ASSERT_TRUE(idx->Checkpoint().ok());
 }
 
 // Mem and file backends must report identical I/O counters for the same
