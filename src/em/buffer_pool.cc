@@ -128,6 +128,21 @@ void BufferPool::BatchLoad(std::span<const BlockId> ids, bool pin,
   // old contents reached the device.
   std::vector<IoRequest> write_batch, read_batch;
   std::vector<std::uint32_t> unpin_after;  // prefetch: temporary pins
+  // A block that is both a dirty victim and a later miss of this batch
+  // lives where its RedirectWrite puts it, not where TranslateRead says
+  // before that: once a victim awaits write-back, translated misses are
+  // located only after SubmitWrites. (A block loaded by this batch is
+  // pinned, so it cannot become a victim later in the batch.)
+  std::vector<std::uint32_t> locate_after;
+  auto load = [&](std::uint32_t v, BlockId phys) {
+    Frame& f = frames_[v];
+    if (borrow_ && (f.ext = device_->TryBorrowRead(phys)) != nullptr) {
+      ++stats_.borrows;
+      ++stats_.reads;
+    } else {
+      read_batch.push_back(IoRequest{phys, OwnedBuf(f)});
+    }
+  };
   for (BlockId id : ids) {
     TOKRA_CHECK(id != kNullBlock);
     auto it = map_.find(id);
@@ -155,17 +170,17 @@ void BufferPool::BatchLoad(std::span<const BlockId> ids, bool pin,
     LruPushFront(v);
     map_[id] = v;
     // Borrowed misses need no device round trip at all — the pointer grab
-    // IS the transfer; only copying misses join the read batch. Borrowing
-    // before the deferred victim write-backs is safe even if a victim of
-    // this very batch held this block: the pointer is a view of the page
-    // cache, so it observes the write-back the moment SubmitWrites below
-    // completes — before any caller can dereference it.
-    const BlockId phys = xlate_ != nullptr ? xlate_->TranslateRead(id) : id;
-    if (borrow_ && (f.ext = device_->TryBorrowRead(phys)) != nullptr) {
-      ++stats_.borrows;
-      ++stats_.reads;
+    // IS the transfer; only copying misses join the read batch. Untranslated,
+    // borrowing before the deferred victim write-backs is safe even if a
+    // victim of this very batch held this block: the pointer is a view of
+    // the page cache, so it observes the write-back the moment SubmitWrites
+    // below completes — before any caller can dereference it.
+    if (xlate_ == nullptr) {
+      load(v, id);
+    } else if (write_batch.empty()) {
+      load(v, xlate_->TranslateRead(id));
     } else {
-      read_batch.push_back(IoRequest{phys, OwnedBuf(f)});
+      locate_after.push_back(v);
     }
     if (pin) {
       ++stats_.pool_misses;
@@ -191,6 +206,9 @@ void BufferPool::BatchLoad(std::span<const BlockId> ids, bool pin,
       for (IoRequest& r : write_batch) r.id = xlate_->RedirectWrite(r.id);
     }
     device_->SubmitWrites(write_batch);
+  }
+  for (std::uint32_t v : locate_after) {
+    load(v, xlate_->TranslateRead(frames_[v].id));
   }
   device_->SubmitReads(read_batch);
   stats_.reads += read_batch.size();

@@ -39,8 +39,9 @@ class WriteBarrier {
 /// RedirectWrite is called once per write-back, after the write barrier and
 /// immediately before the device transfer; it may move the block to a fresh
 /// location (copy-on-write) and must return where this write-back lands.
-/// TranslateRead resolves where a block's current contents live. Neither
-/// may re-enter the pool.
+/// TranslateRead resolves where a block's current contents live; a batched
+/// load asks it only after its victims' redirects, since a victim of the
+/// same batch may be the very block it reads. Neither may re-enter the pool.
 class BlockTranslator {
  public:
   virtual ~BlockTranslator() = default;

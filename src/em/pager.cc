@@ -257,14 +257,16 @@ Status Pager::Checkpoint(std::span<const std::uint64_t> roots) {
   // Spill-region rotation, mirroring the superblock's two-slot protocol:
   // the committed checkpoint's region must stay intact until this commit
   // supersedes it (a fallback recovery reads it), so the new stream spills
-  // into the SPARE region — the one from two checkpoints ago — when the
-  // stream still fits it exactly, and claims fresh high-water space only
-  // when the stream changed size. Steady-state churn (one checkpoint per
-  // COW epoch publish) thus recycles one region pair forever instead of
-  // leaking a region per checkpoint. A released spare's ids rejoin the
-  // free list, and hence this checkpoint's persisted free set. (COW note:
-  // an epoch reader loads its superblock + spill once at open, so reusing
-  // a superseded spill region never races a pinned reader's data reads.)
+  // into the SPARE region — the one from two checkpoints ago — whenever the
+  // stream fits it, and claims fresh high-water space only when it does
+  // not. A fresh region gets a quarter of headroom: the released spare's
+  // ids rejoin the free list, and hence this checkpoint's stream, so an
+  // exactly sized region would be outgrown by the next stream, and a chain
+  // of such claims grows the file geometrically. Steady-state churn (one
+  // checkpoint per COW epoch publish) thus recycles one region pair. (COW
+  // note: an epoch reader loads its superblock + spill once at open, so
+  // reusing a superseded spill region never races a pinned reader's data
+  // reads.)
   std::size_t stream_len = free_list_.size() + spill_count_;
   if (cow_) {
     std::lock_guard<std::mutex> lock(epochs_mu_);
@@ -282,11 +284,12 @@ Status Pager::Checkpoint(std::span<const std::uint64_t> roots) {
   const std::uint32_t needed = static_cast<std::uint32_t>(
       CeilDiv(stream_len > head_cap ? stream_len - head_cap : 0,
               std::size_t{b}));
-  const bool reuse_spare = needed > 0 && needed == spare_spill_count_;
-  if (!reuse_spare && spare_spill_count_ > 0) {
+  const bool reuse_spare = needed <= spare_spill_count_;
+  if (!reuse_spare) {
     for (std::uint32_t i = 0; i < spare_spill_count_; ++i) {
       free_list_.push_back(spare_spill_start_ + i);
     }
+    spare_spill_start_ = 0;
     spare_spill_count_ = 0;
   }
 
@@ -345,21 +348,27 @@ Status Pager::Checkpoint(std::span<const std::uint64_t> roots) {
   const std::size_t spill = stream.size() - n_inline;
   const std::uint32_t spill_blocks =
       static_cast<std::uint32_t>(CeilDiv(spill, std::size_t{b}));
+  // The region's capacity may exceed the blocks the stream fills; the
+  // superblock records the capacity, so a recovery reserves all of it.
   BlockId new_spill_start = 0;
+  std::uint32_t new_spill_cap = 0;
+  if (reuse_spare) {
+    // Steady state: overwrite the region from two checkpoints ago. The
+    // committed checkpoint never references it, so a crash before this
+    // commit still recovers cleanly from the old superblock.
+    TOKRA_CHECK(spill_blocks <= spare_spill_count_);
+    new_spill_start = spare_spill_start_;
+    new_spill_cap = spare_spill_count_;
+  } else {
+    // The stream outgrew the spare: claim a fresh reserved region at the
+    // high-water mark; it is excluded from blocks_in_use_
+    // (pager-internal, not application space).
+    new_spill_cap = spill_blocks + spill_blocks / 4 + 1;
+    new_spill_start = next_block_;
+    next_block_ += new_spill_cap;
+    device_->EnsureCapacity(next_block_);
+  }
   if (spill_blocks > 0) {
-    if (reuse_spare) {
-      // Steady state: overwrite the region from two checkpoints ago. The
-      // committed checkpoint never references it, so a crash before this
-      // commit still recovers cleanly from the old superblock.
-      TOKRA_CHECK(spill_blocks == spare_spill_count_);
-      new_spill_start = spare_spill_start_;
-    } else {
-      // The stream changed size: claim a fresh reserved region at the
-      // high-water mark; it is excluded from blocks_in_use_
-      // (pager-internal, not application space).
-      new_spill_start = next_block_;
-      next_block_ += spill_blocks;
-    }
     spill_scratch_.assign(std::size_t{spill_blocks} * b, 0);
     for (std::size_t i = 0; i < spill; ++i) {
       spill_scratch_[i] = stream[n_inline + i];
@@ -367,7 +376,7 @@ Status Pager::Checkpoint(std::span<const std::uint64_t> roots) {
     device_->WriteRun(new_spill_start, spill_blocks, spill_scratch_.data());
   }
   super[kWNextBlock] = next_block_;
-  super[kWSpillBlocks] = spill_blocks;
+  super[kWSpillBlocks] = new_spill_cap;
   super[kWSpillStart] = new_spill_start;
   super[kWEpoch] = epoch_ + 1;
   // Stamp the covered LSN: the FlushAll above already appended this
@@ -406,7 +415,7 @@ Status Pager::Checkpoint(std::span<const std::uint64_t> roots) {
   const BlockId prev_spill_start = spill_start_;
   const std::uint32_t prev_spill_count = spill_count_;
   spill_start_ = new_spill_start;
-  spill_count_ = spill_blocks;
+  spill_count_ = new_spill_cap;
   spare_spill_start_ = prev_spill_start;
   spare_spill_count_ = prev_spill_count;
   roots_.assign(roots.begin(), roots.end());
@@ -594,16 +603,20 @@ Status Pager::LoadSuperblock() {
   stream.reserve(stream_len);
   const std::size_t n_inline = std::min(stream_len, std::size_t{b} - w);
   for (std::size_t i = 0; i < n_inline; ++i) stream.push_back(super[w++]);
+  // The region may be larger than the stream fills (Checkpoint's
+  // headroom); only the filled blocks are read.
   const std::size_t spill = stream_len - n_inline;
-  if (CeilDiv(spill, std::size_t{b}) != spill_blocks) {
+  const std::uint32_t filled =
+      static_cast<std::uint32_t>(CeilDiv(spill, std::size_t{b}));
+  if (filled > spill_blocks) {
     return Status::FailedPrecondition("corrupt superblock allocator stream");
   }
-  if (spill_blocks > 0) {
+  if (filled > 0) {
     if (spill_start_ + spill_blocks > device_->NumBlocks()) {
       return Status::FailedPrecondition("truncated allocator-stream spill");
     }
-    spill_scratch_.assign(std::size_t{spill_blocks} * b, 0);
-    device_->ReadRun(spill_start_, spill_blocks, spill_scratch_.data());
+    spill_scratch_.assign(std::size_t{filled} * b, 0);
+    device_->ReadRun(spill_start_, filled, spill_scratch_.data());
     stream.insert(stream.end(), spill_scratch_.begin(),
                   spill_scratch_.begin() + spill);
   }

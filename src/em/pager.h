@@ -482,11 +482,12 @@ class Pager : private WriteBarrier, private BlockTranslator {
   // committed checkpoint's region (spill_start_/spill_count_, persisted in
   // its superblock) must stay intact until the next commit supersedes it,
   // so the next checkpoint spills into the *spare* — the region from two
-  // checkpoints ago — when the stream still fits it exactly, and claims
-  // fresh high-water space only when the stream changed size. Both regions
-  // are reserved (excluded from allocation and blocks_in_use_); the spare's
-  // ids ARE persisted as free — a recovery has no rotation history, so to
-  // it the spare is plain free space.
+  // checkpoints ago — whenever the stream fits it, and claims fresh
+  // high-water space (with headroom) only when it does not. The counts are
+  // region capacities, which may exceed the blocks a stream fills. Both
+  // regions are reserved (excluded from allocation and blocks_in_use_); the
+  // spare's ids ARE persisted as free — a recovery has no rotation history,
+  // so to it the spare is plain free space. A count of 0 has start 0.
   BlockId spill_start_ = 0;
   std::uint32_t spill_count_ = 0;
   BlockId spare_spill_start_ = 0;

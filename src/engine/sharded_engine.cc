@@ -781,7 +781,7 @@ StatusOr<std::vector<Point>> ShardedTopkEngine::TopKLocked(
   // fence and probes under the shard mutex.
   std::vector<std::shared_ptr<const ShardView>> views(q);
   for (std::size_t j = 0; j < q; ++j) {
-    views[j] = shards_[s1 + j]->view.load(std::memory_order_acquire);
+    views[j] = shards_[s1 + j]->view.Load();
   }
 
   auto run_one = [&](std::size_t j, em::Pager* pager,
@@ -1263,7 +1263,7 @@ void ShardedTopkEngine::PublishShardLocked(std::size_t i, Shard& sh) {
   const std::uint64_t epoch = sh.pager->published_epoch();
   if (epoch == 0) return;  // nothing published yet (checkpoint skipped?)
   {
-    auto cur = sh.view.load(std::memory_order_acquire);
+    auto cur = sh.view.Load();
     if (cur != nullptr && cur->epoch == epoch) return;  // already current
   }
   // Pin before opening handles: the pin freezes every block this epoch
@@ -1272,7 +1272,7 @@ void ShardedTopkEngine::PublishShardLocked(std::size_t i, Shard& sh) {
   // the pin with the half-built view.
   auto view = MakeShardView(i, sh, sh.pager->PinEpoch(), epoch);
   if (view != nullptr) {
-    sh.view.store(std::move(view), std::memory_order_release);
+    sh.view.Store(std::move(view));
   }
 }
 
@@ -1642,9 +1642,8 @@ StatusOr<std::unique_ptr<ShardedTopkEngine>> ShardedTopkEngine::OpenSnapshot(
     // The one view this shard ever serves. The files are quiescent, so no
     // epoch pin is needed; a backend that cannot share reads leaves it null
     // and the shard serves locked on its read-only pager.
-    shard->view.store(engine->MakeShardView(i, *shard, em::EpochPin{},
-                                            shard->pager->published_epoch()),
-                      std::memory_order_release);
+    shard->view.Store(engine->MakeShardView(i, *shard, em::EpochPin{},
+                                            shard->pager->published_epoch()));
     shards.push_back(std::move(shard));
   }
   if (bounds[0] != -kInf || !std::is_sorted(bounds.begin(), bounds.end())) {
@@ -1759,7 +1758,7 @@ em::IoStats ShardedTopkEngine::AccountedIoStatsLocked(const Shard& sh) const {
   // are its I/O. A live engine leaves its view handles out: its figure is
   // the writer's pagers only, which ios_per_update-style accounting uses.
   if (!snapshot_) return total;
-  if (auto view = sh.view.load(std::memory_order_acquire)) {
+  if (auto view = sh.view.Load()) {
     for (const auto& h : view->handles) {
       std::lock_guard<std::mutex> g(h->mu);
       total += h->pager->stats();

@@ -325,6 +325,27 @@ class ShardedTopkEngine {
     mutable std::atomic<std::uint32_t> next{0};
   };
 
+  /// The slot a shard publishes its view in. A small mutex guards only the
+  /// pointer copy or swap, never a probe, so readers stay off the shard
+  /// mutex (query_shard_locks does not count it), and the synchronization
+  /// is one that ThreadSanitizer models.
+  class ViewSlot {
+   public:
+    std::shared_ptr<const ShardView> Load() const {
+      std::lock_guard<std::mutex> g(mu_);
+      return view_;
+    }
+    /// The replaced view is released after the lock is dropped.
+    void Store(std::shared_ptr<const ShardView> view) {
+      std::lock_guard<std::mutex> g(mu_);
+      view_.swap(view);
+    }
+
+   private:
+    mutable std::mutex mu_;
+    std::shared_ptr<const ShardView> view_;
+  };
+
   struct Shard {
     Shard() = default;  // Recover/OpenSnapshot fill pager/index from a file
     explicit Shard(const em::EmOptions& em)
@@ -354,7 +375,7 @@ class ShardedTopkEngine {
     // Declared LAST so it is destroyed FIRST — its handles' pagers alias
     // this shard's device and its pin unregisters with this shard's pager,
     // both of which must still be alive.
-    std::atomic<std::shared_ptr<const ShardView>> view;
+    ViewSlot view;
   };
 
   explicit ShardedTopkEngine(EngineOptions options);

@@ -138,6 +138,9 @@ class PilotPst {
                           const std::vector<double>& lo,
                           const std::vector<double>& hi,
                           const std::vector<std::uint64_t>& weights);
+  /// Build, with a root tall enough to hold `room` keys (>= the points).
+  static PilotPst BuildWithRoom(em::Pager* pager, std::vector<Point> points,
+                                Options options, std::uint64_t room);
   /// Builds a balanced base subtree over sorted points; returns its root.
   /// Does not fill pilots.
   em::BlockId BuildSubtree(const std::vector<Point>& by_x, std::uint32_t level,
@@ -161,6 +164,9 @@ class PilotPst {
   /// base ids visited (root first) for rebalancing.
   void Rebalance(const std::vector<em::BlockId>& path);
   void RebuildSubtree(em::BlockId base);
+  /// Rebuilds the whole tree over the live points, leaving the root room
+  /// for half as many keys again: a root at exactly its weight cap would
+  /// be overweight after one insert and rebuild again.
   void GlobalRebuild();
 
   // ---- validation ----

@@ -262,6 +262,12 @@ PilotPst PilotPst::Open(em::Pager* pager, em::BlockId meta) {
 
 PilotPst PilotPst::Build(em::Pager* pager, std::vector<Point> points,
                          Options options) {
+  const std::uint64_t n = points.size();
+  return BuildWithRoom(pager, std::move(points), options, n);
+}
+
+PilotPst PilotPst::BuildWithRoom(em::Pager* pager, std::vector<Point> points,
+                                 Options options, std::uint64_t room) {
   TOKRA_CHECK(pager->B() >= 32);
   std::uint32_t a = options.branch != 0 ? options.branch
                                         : std::max<std::uint32_t>(4, pager->B() / 16);
@@ -275,12 +281,12 @@ PilotPst PilotPst::Build(em::Pager* pager, std::vector<Point> points,
   }
   PilotPst pst(pager, meta);
 
-  // Height: smallest h >= 1 with b * a^h >= n.
+  // Height: smallest h >= 1 with b * a^h >= room.
   std::uint64_t n = points.size();
   std::uint32_t h = 1;
   {
     std::uint64_t cap = static_cast<std::uint64_t>(b) * a;
-    while (cap < n) {
+    while (cap < room) {
       cap *= a;
       ++h;
     }
@@ -471,7 +477,8 @@ void PilotPst::GlobalRebuild() {
   options.branch = branch();
   options.leaf_cap = leaf_cap();
   em::BlockId old_meta = meta_;
-  PilotPst fresh = Build(pager_, std::move(live), options);
+  const std::uint64_t room = live.size() + live.size() / 2;
+  PilotPst fresh = BuildWithRoom(pager_, std::move(live), options, room);
   // Move the fresh tree under the existing meta block id.
   {
     em::PageRef src = pager_->Fetch(fresh.meta_);

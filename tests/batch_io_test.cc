@@ -63,13 +63,18 @@ std::vector<em::Backend> FileBackends() {
   return {em::Backend::kFile, em::Backend::kUring, em::Backend::kMmap};
 }
 
+/// Every backend, in-memory included.
+std::vector<em::Backend> AllBackends() {
+  return {em::Backend::kMem, em::Backend::kFile, em::Backend::kUring,
+          em::Backend::kMmap};
+}
+
 // ---------------------------------------------------------------------------
 // Device batch API
 
 TEST(BatchDeviceTest, SubmitBatchRoundTripEveryBackend) {
   TempDir dir("roundtrip");
-  for (em::Backend backend : {em::Backend::kMem, em::Backend::kFile,
-                              em::Backend::kUring, em::Backend::kMmap}) {
+  for (em::Backend backend : AllBackends()) {
     em::EmOptions opts{.block_words = 16, .pool_frames = 4};
     opts.backend = backend;
     opts.path = dir.File("rt-" + std::to_string(static_cast<int>(backend)));
@@ -271,6 +276,39 @@ TEST(BufferPoolBatchTest, PrefetchRespectsPinsAndSkipsWhenFull) {
   pool.Prefetch(many);
   EXPECT_EQ(pool.stats().prefetched, 1u);
   for (std::uint32_t f : {f0, f1, f2, f3}) pool.Unpin(f, false);
+}
+
+// Copy-on-write: a dirty checkpoint-live block evicted by a batch moves to
+// a fresh location at its write-back. When the same batch then misses on
+// that block, the load must read the new location, not the checkpoint's.
+TEST(BufferPoolBatchTest, CowVictimReloadedInSameBatchReadsNewBytes) {
+  TempDir dir("cow-victim");
+  for (em::Backend backend : AllBackends()) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    em::EmOptions opts{.block_words = 16, .pool_frames = 4};
+    opts.backend = backend;
+    opts.path = dir.File("cv-" + std::to_string(static_cast<int>(backend)));
+    opts.cow_epochs = true;
+    em::Pager pager(opts);
+    std::vector<em::BlockId> ids;
+    for (int i = 0; i < 5; ++i) {
+      ids.push_back(pager.Allocate());
+      em::PageRef p = pager.Create(ids.back());
+      p.Set(0, 100 + ids.back());
+    }
+    const em::BlockId a = ids[0], b = ids[1];
+    ASSERT_TRUE(pager.Checkpoint({}).ok());
+    pager.DropCache();
+    { em::PageRef p = pager.Fetch(a); p.Set(0, 7); }  // dirty, will redirect
+    // Fill the other frames with clean blocks: A is at the LRU tail.
+    for (int i = 2; i < 5; ++i) pager.Fetch(ids[i]);
+    // B evicts A (its write-back redirects it), then A misses in the same
+    // batch.
+    const em::BlockId batch[] = {b, a};
+    pager.Prefetch(batch);
+    EXPECT_EQ(pager.Fetch(a).Get(0), 7u);
+    EXPECT_EQ(pager.Fetch(b).Get(0), 100 + b);
+  }
 }
 
 TEST(BufferPoolBatchTest, BatchEvictionWritesBackDirtyVictims) {

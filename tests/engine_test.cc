@@ -644,6 +644,48 @@ TEST(MvccEngineTest, ReadYourWritesAcrossEpochs) {
   engine->CheckInvariants();
 }
 
+// The other MVCC tests use pools that hold a whole shard. Here the pool is a
+// small fraction of it, so updates evict dirty checkpoint-live blocks that
+// copy-on-write moves, often in the same batch that loads them back; every
+// answer must still match the live set.
+TEST(MvccEngineTest, SmallPoolChurnMatchesOracle) {
+  Rng rng(37);
+  std::vector<Point> live = RandomPoints(&rng, 600);
+  EngineOptions o = MvccOpts(3, 1);
+  o.em = em::EmOptions{.block_words = 64, .pool_frames = 8};
+  auto engine = ShardedTopkEngine::Build(live, o).value();
+  // Fresh keys interleave with the built ones, so every shard churns.
+  auto fresh_xs = rng.DistinctDoubles(1000, 0.0, 1000.0);
+  auto fresh_scores = rng.DistinctDoubles(1000, 1.0, 2.0);
+  for (std::size_t i = 0; i < 2000; ++i) {
+    if (i % 2 == 0) {
+      Point p{fresh_xs[i / 2] + 1e-9, fresh_scores[i / 2]};
+      ASSERT_TRUE(engine->Insert(p).ok());
+      live.push_back(p);
+    } else {
+      std::size_t victim = rng.Uniform(live.size());
+      ASSERT_TRUE(engine->Delete(live[victim]).ok());
+      live[victim] = live.back();
+      live.pop_back();
+    }
+    if (i % 10 != 9) continue;
+    double a = rng.UniformDouble(-100.0, 1100.0);
+    double b = rng.UniformDouble(-100.0, 1100.0);
+    if (a > b) std::swap(a, b);
+    std::uint64_t k = 1 + rng.Uniform(64);
+    auto got = engine->TopK(a, b, k);
+    ASSERT_TRUE(got.ok());
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectPointsEqual(*got, internal::NaiveTopK(live, a, b, k)))
+        << "after update " << i;
+    auto all = engine->TopK(-kInf, kInf, live.size() + 1);
+    ASSERT_TRUE(all.ok());
+    ASSERT_EQ(all->size(), live.size()) << "after update " << i;
+  }
+  EXPECT_EQ(engine->counters().query_shard_locks, 0u);
+  engine->CheckInvariants();
+}
+
 // The concurrent acceptance test: reader threads hammer wide top-k queries
 // while writer threads churn low-scored points. The base points own the
 // globally highest scores, so every consistent snapshot answers the SAME

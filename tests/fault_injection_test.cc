@@ -18,8 +18,9 @@
 //     the durable append and its acknowledgement) and are allowed either
 //     way — the standard at-least-once ambiguity on failure.
 //
-// The final line `TORTURE SUMMARY: fault_points=N aborts=0
-// acknowledged_lost=0` is grepped by CI.
+// The sweep runs twice, on locked shards and on MVCC epoch views; each leg
+// ends with a line `TORTURE SUMMARY: mvcc=off|on fault_points=N aborts=0
+// acknowledged_lost=0` that CI greps.
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -268,8 +269,10 @@ std::vector<Point> SeedPoints(std::size_t n) {
   return pts;
 }
 
-engine::EngineOptions TortureOptions(const std::string& dir) {
+engine::EngineOptions TortureOptions(const std::string& dir,
+                                     bool mvcc = false) {
   engine::EngineOptions opts;
+  opts.mvcc = mvcc;
   opts.num_shards = 3;
   opts.threads = 1;  // single worker: deterministic I/O-site ordering
   opts.telemetry.enabled = false;
@@ -358,9 +361,9 @@ std::vector<double> ShardProbePoints(const std::vector<double>& lb) {
 /// into a clean engine, and verifies the oracle. Returns the number of
 /// acknowledged updates lost (0 on a healthy implementation).
 std::uint64_t TortureRun(const std::string& tag, em::FaultInjector* inj,
-                         bool expect_fired) {
+                         bool expect_fired, bool mvcc) {
   TempDir dir(tag);
-  engine::EngineOptions opts = TortureOptions(dir.path());
+  engine::EngineOptions opts = TortureOptions(dir.path(), mvcc);
   opts.em.fault = inj;
   const auto seed = SeedPoints(kSeedN);
   Oracle oracle;
@@ -395,7 +398,7 @@ std::uint64_t TortureRun(const std::string& tag, em::FaultInjector* inj,
 
   // Recover in a clean configuration (no injector): the medium must hold a
   // consistent checkpoint + log regardless of where the fault landed.
-  engine::EngineOptions clean = TortureOptions(dir.path());
+  engine::EngineOptions clean = TortureOptions(dir.path(), mvcc);
   engine::RecoveryReport report;
   auto rec = engine::ShardedTopkEngine::Recover(clean, &report);
   EXPECT_TRUE(rec.ok()) << rec.status().ToString();
@@ -451,10 +454,15 @@ std::vector<std::uint64_t> SampleIndices(std::uint64_t count,
   return idx;
 }
 
-TEST(FaultTortureTest, SweepEveryIoSite) {
+/// Discovery pass, then one run per armed fault point; `mvcc` serves every
+/// query from published epoch views instead of the locked shards.
+void SweepEveryIoSite(bool mvcc) {
+  const std::string leg = mvcc ? "mvcc-" : "locked-";
   // Discovery pass: count the workload's I/O sites per category.
   em::FaultInjector discover;
-  ASSERT_EQ(TortureRun("discover", &discover, /*expect_fired=*/false), 0u);
+  ASSERT_EQ(TortureRun(leg + "discover", &discover, /*expect_fired=*/false,
+                       mvcc),
+            0u);
   const em::FaultInjector::OpCounts sites = discover.ops_seen();
   ASSERT_GT(sites.reads, 0u);
   ASSERT_GT(sites.writes, 0u);
@@ -484,19 +492,26 @@ TEST(FaultTortureTest, SweepEveryIoSite) {
       inj.Arm(sc.kind, at, /*seed=*/at * 2 + 1);
       ++fault_points;
       acknowledged_lost +=
-          TortureRun(std::string(sc.name) + "-" + std::to_string(at), &inj,
-                     /*expect_fired=*/true);
+          TortureRun(leg + sc.name + "-" + std::to_string(at), &inj,
+                     /*expect_fired=*/true, mvcc);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
   EXPECT_GE(fault_points, 200u);
   EXPECT_EQ(acknowledged_lost, 0u);
   // CI greps this line; reaching it at all proves aborts=0.
-  std::printf("TORTURE SUMMARY: fault_points=%llu aborts=0 "
+  std::printf("TORTURE SUMMARY: mvcc=%s fault_points=%llu aborts=0 "
               "acknowledged_lost=%llu\n",
+              mvcc ? "on" : "off",
               static_cast<unsigned long long>(fault_points),
               static_cast<unsigned long long>(acknowledged_lost));
   std::fflush(stdout);
+}
+
+TEST(FaultTortureTest, SweepEveryIoSite) { SweepEveryIoSite(/*mvcc=*/false); }
+
+TEST(FaultTortureTest, SweepEveryIoSiteMvcc) {
+  SweepEveryIoSite(/*mvcc=*/true);
 }
 
 // ---------------------------------------------------------------------------

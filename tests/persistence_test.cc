@@ -364,6 +364,63 @@ TEST(TopkIndexPersistenceTest, OpensFilesWrittenWithASelector) {
   ASSERT_TRUE(idx->Checkpoint().ok());
 }
 
+// A checkpoint every 10 updates rewrites the allocator stream thousands of
+// times. Its spill regions must recycle (DESIGN §5.2): the file stays
+// within a constant factor of the live space, with and without COW, and
+// the last checkpoint reopens with every block accounted for.
+TEST(TopkIndexPersistenceTest, FrequentCheckpointsKeepTheFileBounded) {
+  TempDir dir("spill");
+  for (bool cow : {false, true}) {
+    SCOPED_TRACE(cow ? "cow_epochs" : "plain");
+    em::EmOptions opts{.block_words = 64,
+                       .pool_frames = 32,
+                       .backend = em::Backend::kFile,
+                       .path = dir.File(cow ? "cow.blk" : "plain.blk"),
+                       .cow_epochs = cow};
+    Rng rng(31);
+    std::vector<Point> live = MakePoints(&rng, 4000);
+    {
+      em::Pager pager(opts);
+      auto index = core::TopkIndex::Build(&pager, live).value();
+      std::uint64_t peak = pager.Space().allocated_blocks;
+      // A random walk of n: pilot rebuilds free and claim blocks in bursts,
+      // so the free list, and with it the stream, keeps changing size.
+      for (int u = 1; u <= 50000; ++u) {
+        if (rng.Uniform(2) == 0) {
+          const Point p{rng.UniformDouble(0.0, 1e6), 2.0 + 1e-6 * u};
+          ASSERT_TRUE(index->Insert(p).ok());
+          live.push_back(p);
+        } else {
+          const std::size_t victim = rng.Uniform(live.size());
+          ASSERT_TRUE(index->Delete(live[victim]).ok());
+          live[victim] = live.back();
+          live.pop_back();
+        }
+        if (u % 10 == 0) ASSERT_TRUE(index->Checkpoint().ok());
+        if (u % 100 == 0) {
+          const em::SpaceStats s = pager.Space();
+          peak = std::max(peak, s.allocated_blocks);
+          ASSERT_LE(s.file_blocks, 4 * peak) << "after " << u << " updates";
+        }
+      }
+    }
+    auto pager = em::Pager::Open(opts);
+    ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+    auto index = core::TopkIndex::Open(pager->get());
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    auto all = (*index)->TopK(-kInf, kInf, live.size() + 1);
+    ASSERT_TRUE(all.ok());
+    EXPECT_EQ(all->size(), live.size());
+    // COW leaves out orphans too (a location whose name is still held).
+    const em::SpaceStats s = (*pager)->Space();
+    if (!cow) {
+      EXPECT_EQ(s.allocated_blocks + s.free_blocks + s.reserved_blocks,
+                s.file_blocks);
+    }
+    (*index)->CheckInvariants();
+  }
+}
+
 // Mem and file backends must report identical I/O counters for the same
 // deterministic workload: the counting layer is backend-independent.
 TEST(BackendParityTest, IdenticalIoCountsAcrossBackends) {

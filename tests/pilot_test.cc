@@ -340,5 +340,34 @@ TEST(PilotPstTest, UpdateCostLogarithmicBaseB) {
   EXPECT_LE(per_op, 60u);
 }
 
+// At n = b a^h the built root sits at exactly its weight cap (B=64: b=64,
+// a=4, and 4096 = 64 * 4^3), so the first insert overflows it and rebuilds
+// the whole tree. The rebuild must leave the root room to grow: a churn of
+// deletes and inserts at that size stays at its amortized per-update cost
+// instead of rebuilding on every insert.
+TEST(PilotPstTest, ChurnAtTheRootWeightCapDoesNotRebuildPerInsert) {
+  em::Pager pager(Opts(64, 8));
+  Rng rng(31);
+  std::vector<Point> live = RandomPoints(&rng, 4096);
+  PilotPst pst = PilotPst::Build(&pager, live);
+  auto fresh = RandomPoints(&rng, 400, 999.5);
+  em::IoStats before = pager.stats();
+  for (const Point& p : fresh) {
+    const std::size_t victim = rng.Uniform(live.size());
+    ASSERT_TRUE(pst.Delete(live[victim]).ok());
+    ASSERT_TRUE(pst.Insert(p).ok());
+    live[victim] = p;
+  }
+  const std::uint64_t per_update =
+      (pager.stats() - before).TotalIos() / (2 * fresh.size());
+  // One global rebuild (the first insert) spread over 800 updates, plus
+  // ~25 I/Os each; a rebuild per insert costs ~1,800 per update.
+  EXPECT_LE(per_update, 100u);
+  pst.CheckInvariants();
+  auto got = pst.TopK(-1e9, 1e9, 50);
+  ASSERT_TRUE(got.ok());
+  ExpectTopKEqual(*got, internal::NaiveTopK(live, -1e9, 1e9, 50));
+}
+
 }  // namespace
 }  // namespace tokra::pilot

@@ -1,7 +1,8 @@
 // Replicated serving tier tests: wire framing, loopback
 // bootstrap/stream/convergence, heartbeat-timeout degradation and
 // reconnect, fault-injected partitions (snapshot resume, lagged-follower
-// re-snapshot), and the fork-based primary-SIGKILL torture leg.
+// re-snapshot), an MVCC follower read while its tail applies, and the
+// fork-based primary-SIGKILL torture leg.
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -9,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -308,6 +310,62 @@ TEST(ReplTest, BootstrapStreamAndConverge) {
   EXPECT_EQ(ps.snapshots_shipped, 1u);
   EXPECT_GT(ps.tail_records, 0u);
   EXPECT_GT(ps.heartbeats, 0u);
+}
+
+// A follower with engine.mvcc publishes an epoch view per applied tail
+// record. A reader keeps querying it while the stream applies, and the
+// replica converges to the primary's exact state.
+TEST(ReplTest, MvccFollowerStreamsAndConverges) {
+  TempDir dir("mvcc");
+  auto eng = BuildPrimaryEngine(dir.Sub("primary"), 300);
+  ASSERT_NE(eng, nullptr);
+  auto primary = Primary::Start(eng.get(), PrimaryOptions(dir.Sub("primary")));
+  ASSERT_TRUE(primary.ok());
+
+  Follower::Options fo = FollowerOptions((*primary)->port(), dir.Sub("f1"));
+  fo.engine.mvcc = true;
+  auto follower = Follower::Start(fo);
+  ASSERT_TRUE(follower.ok());
+  ASSERT_TRUE(WaitFor([&] { return (*follower)->serving(); }));
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad_reads{0};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      auto got = (*follower)->TopK(-1.0, 1e6, 16);
+      if (!got.ok() || got->size() != 16u ||
+          !std::is_sorted(got->begin(), got->end(), ByScoreDesc{})) {
+        ++bad_reads;
+      }
+    }
+  });
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(eng->Insert(MakePoints(300 + i, 1)[0]).ok());
+    if (i % 2 == 1) {
+      ASSERT_TRUE(eng->Delete(MakePoints(i, 1)[0]).ok());
+    }
+  }
+  auto want = EngineFingerprint(*eng);
+  ASSERT_TRUE(want.ok());
+  const bool converged = WaitFor([&] {
+    auto fp = (*follower)->Fingerprint();
+    return fp.ok() && *fp == *want;
+  });
+  stop = true;
+  reader.join();
+  ASSERT_TRUE(converged);
+  EXPECT_EQ(bad_reads.load(), 0);
+  for (double a : {0.0, 120.0, 333.0}) {
+    auto got = (*follower)->TopK(a, a + 150.0, 20);
+    auto reference = eng->TopK(a, a + 150.0, 20);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(reference.ok());
+    EXPECT_EQ(*got, *reference);
+  }
+  const Follower::Stats st = (*follower)->stats();
+  EXPECT_EQ(st.bootstraps, 1u);
+  EXPECT_GT(st.tail_ops, 0u);
+  EXPECT_EQ(st.apply_errors, 0u);
 }
 
 TEST(ReplTest, ReadScalingAcrossFollowers) {
