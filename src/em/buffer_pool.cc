@@ -130,9 +130,9 @@ void BufferPool::BatchLoad(std::span<const BlockId> ids, bool pin,
   std::vector<std::uint32_t> unpin_after;  // prefetch: temporary pins
   // A block that is both a dirty victim and a later miss of this batch
   // lives where its RedirectWrite puts it, not where TranslateRead says
-  // before that: once a victim awaits write-back, translated misses are
-  // located only after SubmitWrites. (A block loaded by this batch is
-  // pinned, so it cannot become a victim later in the batch.)
+  // before that: translated misses are located only after SubmitWrites.
+  // (A block loaded by this batch is pinned, so it cannot become a victim
+  // later in the batch.)
   std::vector<std::uint32_t> locate_after;
   auto load = [&](std::uint32_t v, BlockId phys) {
     Frame& f = frames_[v];
@@ -177,8 +177,6 @@ void BufferPool::BatchLoad(std::span<const BlockId> ids, bool pin,
     // below completes — before any caller can dereference it.
     if (xlate_ == nullptr) {
       load(v, id);
-    } else if (write_batch.empty()) {
-      load(v, xlate_->TranslateRead(id));
     } else {
       locate_after.push_back(v);
     }
