@@ -328,8 +328,9 @@ class ShardedTopkEngine {
   /// The slot a shard publishes its view in. A small mutex guards only the
   /// pointer copy or swap, never a probe, so readers stay off the shard
   /// mutex (query_shard_locks does not count it), and the synchronization
-  /// is one that ThreadSanitizer models.
-  class ViewSlot {
+  /// is one that ThreadSanitizer models. Every query locks it, so it gets
+  /// a cache line of its own, away from the fields updates write.
+  class alignas(64) ViewSlot {
    public:
     std::shared_ptr<const ShardView> Load() const {
       std::lock_guard<std::mutex> g(mu_);
