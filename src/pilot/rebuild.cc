@@ -323,7 +323,14 @@ void PilotPst::Rebalance(const std::vector<em::BlockId>& path) {
       level = h.Get(kHLevel);
     }
     if (w > WeightCap(static_cast<std::uint32_t>(level))) {
-      if (i == 0) {
+      // A subtree rebuild copies the dead keys below it into fresh nodes,
+      // each with its own pilot blocks. Once dead keys are a third of all
+      // keys, rebuild the whole tree over the live points instead, so the
+      // space stays O(live / B) and does not swell toward the 2x rule in
+      // Delete (at least live / 3 deletions pay for it).
+      const std::uint64_t keys = MetaGet(kMKeys);
+      const std::uint64_t live = MetaGet(kMLive);
+      if (i == 0 || 2 * keys >= 3 * live) {
         GlobalRebuild();
       } else {
         RebuildSubtree(path[i - 1]);
